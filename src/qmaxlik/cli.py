@@ -114,12 +114,18 @@ def cmd_reconstruct(args) -> int:
 
 
 def _parse_float_list(text: str, allow_inf: bool) -> list[float]:
+    """Comma-separated positive numbers; a non-numeric token is a parse error."""
     values = []
     for token in text.split(","):
         token = token.strip()
         if not token:
             continue
-        value = float(token)
+        try:
+            value = float(token)
+        except ValueError:
+            raise DataFormatError(f"{token!r} is not a number") from None
+        if not value > 0:
+            raise ValidationError(f"{token!r}: values must be positive")
         if math.isinf(value) and not allow_inf:
             raise ValidationError("inf is not allowed here")
         values.append(value)
@@ -134,7 +140,10 @@ def _cached_reference(dataset_path: Path, dim, cache_dir: Path | None):
     digest = hashlib.sha256(dataset_path.read_bytes() + f"|dim={dim}".encode()).hexdigest()
     cache_file = cache_dir / f"reference-{digest[:24]}.json"
     if cache_file.exists():
-        return io.parse_result_estimate(cache_file), cache_file
+        try:
+            return io.parse_result_estimate(cache_file), cache_file
+        except DataFormatError:
+            pass  # a damaged entry is a miss; the fresh solve overwrites it
     return None, cache_file
 
 

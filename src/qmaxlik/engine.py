@@ -24,7 +24,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Union
+from typing import ClassVar, NamedTuple, Union
 
 import numpy as np
 
@@ -42,13 +42,30 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # step-size strategies
 
 
+class _Strategy:
+    """A strategy is the eps values each step tries, and whether a trial must raise the objective.
+
+    ``_trial_epsilons()`` is called once per run and returns a function of the
+    current (rho, dataset, floor, g) giving the eps values to try, in order.
+    Monotone strategies name a ``_stall_reason``, reported when no trial helps.
+    """
+
+    _stall_reason: ClassVar[str | None] = None
+
+    def _stall_diagnostics(self, tried: list[float], best_delta: float) -> dict:
+        return {"reason": self._stall_reason, "trials": len(tried), "best_delta": best_delta}
+
+
 @dataclass(frozen=True)
-class InfiniteRhoR:
+class InfiniteRhoR(_Strategy):
     """Plain quadratic update every step; fastest, but monotonicity is not guaranteed."""
 
+    def _trial_epsilons(self):
+        return lambda rho, dataset, floor, g: (math.inf,)
+
 
 @dataclass(frozen=True)
-class FixedEpsilon:
+class FixedEpsilon(_Strategy):
     """Diluted update with the same eps at every step."""
 
     epsilon: float
@@ -57,15 +74,20 @@ class FixedEpsilon:
         if not self.epsilon > 0:
             raise ValidationError("epsilon must be positive")
 
+    def _trial_epsilons(self):
+        return lambda rho, dataset, floor, g: (self.epsilon,)
+
 
 @dataclass(frozen=True)
-class AdaptiveBackoff:
+class AdaptiveBackoff(_Strategy):
     """Try the quadratic update first; on a likelihood non-increase retry with
     eps = epsilon0, epsilon0*shrink, ... until some step raises the likelihood."""
 
     epsilon0: float = 1.0
     shrink: float = 0.5
     max_retries: int = 60
+
+    _stall_reason = "no step-size trial increased the likelihood"
 
     def __post_init__(self):
         if not self.epsilon0 > 0:
@@ -75,9 +97,16 @@ class AdaptiveBackoff:
         if self.max_retries < 1:
             raise ValidationError("max_retries must be at least 1")
 
+    def _trial_epsilons(self):
+        trials = [math.inf] + [self.epsilon0 * self.shrink**k for k in range(self.max_retries)]
+        return lambda rho, dataset, floor, g: trials
+
+    def _stall_diagnostics(self, tried: list[float], best_delta: float) -> dict:
+        return {**super()._stall_diagnostics(tried, best_delta), "smallest_epsilon": tried[-1]}
+
 
 @dataclass(frozen=True)
-class LineSearchEpsilon:
+class LineSearchEpsilon(_Strategy):
     """Maximize the actual likelihood gain over eps at every step.
 
     A logarithmic grid scan over [grid_lo, grid_hi] followed by golden-section
@@ -95,9 +124,12 @@ class LineSearchEpsilon:
         if self.grid_points < 2 or self.refinements < 0:
             raise ValidationError("grid_points must be >= 2 and refinements >= 0")
 
+    def _trial_epsilons(self):
+        return lambda rho, dataset, floor, g: (choose_epsilon_line_search(rho, dataset, self, floor, g)[0],)
+
 
 @dataclass(frozen=True)
-class RandomEpsilon:
+class RandomEpsilon(_Strategy):
     """Draw eps log-uniformly from (1e-4, epsilon_max], redrawing until the
     likelihood increases (up to max_retries attempts per step)."""
 
@@ -105,11 +137,22 @@ class RandomEpsilon:
     max_retries: int = 60
     seed: int = 0
 
+    _stall_reason = "no random step size increased the likelihood"
+
     def __post_init__(self):
         if not self.epsilon_max > 1e-4:
             raise ValidationError("epsilon_max must exceed the 1e-4 lower sampling bound")
         if self.max_retries < 1:
             raise ValidationError("max_retries must be at least 1")
+
+    def _trial_epsilons(self):
+        rng = np.random.default_rng(self.seed)  # one stream per run, drawn only as trials are tried
+
+        def draws(rho, dataset, floor, g):
+            for _ in range(self.max_retries):
+                yield math.exp(rng.uniform(math.log(1e-4), math.log(self.epsilon_max)))
+
+        return draws
 
 
 EpsilonStrategy = Union[InfiniteRhoR, FixedEpsilon, AdaptiveBackoff, LineSearchEpsilon, RandomEpsilon]
@@ -134,7 +177,7 @@ class ReconstructionConfig:
     probability_floor: float = DEFAULT_PROBABILITY_FLOOR
 
     def __post_init__(self):
-        if min(self.tol_residual, self.tol_element, self.tol_loglik) <= 0:
+        if not (self.tol_residual > 0 and self.tol_element > 0 and self.tol_loglik > 0):
             raise ValidationError("stopping tolerances must be positive")
         if self.max_iterations < 1:
             raise ValidationError("max_iterations must be at least 1")
@@ -256,12 +299,13 @@ def g_corrected_step(
 def extremal_residual(rho, dataset: Dataset, floor: float = DEFAULT_PROBABILITY_FLOOR) -> float:
     """Frobenius norm of R rho - rho; zero exactly at the maximum-likelihood state."""
     rho = _check_dims(rho, dataset)
-    r = r_operator(rho, dataset, floor)
-    return float(np.linalg.norm(r @ rho - rho))
+    return _residual(rho, r_operator(rho, dataset, floor), None)
 
 
-def _g_residual(rho: np.ndarray, r: np.ndarray, g: GOperator) -> float:
-    """Frobenius norm of tr(G rho) G^-1 R rho - rho (debiased stationarity)."""
+def _residual(rho: np.ndarray, r: np.ndarray, g: GOperator | None) -> float:
+    """Frobenius norm of R rho - rho, or with G-correction of tr(G rho) G^-1 R rho - rho."""
+    if g is None:
+        return float(np.linalg.norm(r @ rho - rho))
     tau = (g.matrix @ rho).trace().real
     return float(np.linalg.norm(tau * (g.inverse @ (r @ rho)) - rho))
 
@@ -303,21 +347,8 @@ class _GainProfile:
         self._p1 = _traces(dataset, t1)
         self._p2 = _traces(dataset, t2)
         self._s = np.array([1.0, t1.trace().real, t2.trace().real])
-        if g is None:
-            self._gamma = None
-            self._base = float(dataset.counts @ np.log(np.maximum(self._p0, floor)))
-        else:
-            self._gamma = np.array(
-                [
-                    (g.matrix @ rho).trace().real,
-                    (g.matrix @ t1).trace().real,
-                    (g.matrix @ t2).trace().real,
-                ]
-            )
-            self._base = float(
-                dataset.counts @ np.log(np.maximum(self._p0, floor))
-                - dataset.total * math.log(self._gamma[0])
-            )
+        self._gamma = None if g is None else np.array([(g.matrix @ m).trace().real for m in (rho, t1, t2)])
+        self._base = _objective_from_probs(probs, rho, dataset, g)
 
     def __call__(self, eps: float) -> float:
         coeff = np.array([1.0, eps, eps * eps])
@@ -343,12 +374,7 @@ def choose_epsilon_line_search(
     returned gain is positive; at the maximum it collapses to zero (up to
     roundoff), which callers treat as a stall.
     """
-    rho = _check_dims(rho, dataset)
-    gain = _GainProfile(rho, dataset, floor, g)
-    return _maximize_gain(gain, params)
-
-
-def _maximize_gain(gain, params: LineSearchEpsilon) -> tuple[float, float]:
+    gain = _GainProfile(_check_dims(rho, dataset), dataset, floor, g)
     grid = np.geomspace(params.grid_lo, params.grid_hi, params.grid_points)
     values = [gain(float(e)) for e in grid]
     best = int(np.argmax(values))
@@ -386,8 +412,54 @@ def _objective_from_probs(probs: np.ndarray, candidate: np.ndarray, dataset: Dat
     return value
 
 
-def _objective(rho: np.ndarray, dataset: Dataset, floor: float, g: GOperator | None) -> float:
-    return _objective_from_probs(outcome_probabilities(rho, dataset, floor), rho, dataset, g)
+class _Step(NamedTuple):
+    """An iterate with the quantities the next step and the stopping rules need."""
+
+    rho: np.ndarray
+    r: np.ndarray
+    objective: float
+    eps: float = math.nan  # the step size that produced rho
+    change: float = math.inf  # max |rho - previous iterate|
+    cycled: bool = False  # rho repeats the iterate two steps back
+    stall: dict | None = None  # set when no trial was accepted; rho is then unchanged
+
+
+def _iterate(dataset: Dataset, strategy: EpsilonStrategy, floor: float, g: GOperator | None, max_iterations: int):
+    """Yield the maximally mixed state, then up to max_iterations accepted iterates.
+
+    Each step applies the map for the strategy's eps values in order and
+    accepts the first candidate; a monotone strategy accepts only a candidate
+    that raises the objective. When it accepts none, the last step yielded
+    repeats the current state with the stall diagnostics.
+    """
+    if not hasattr(strategy, "_trial_epsilons"):
+        raise ValidationError(f"unknown step-size strategy {strategy!r}")
+    trial_epsilons = strategy._trial_epsilons()
+    rho = np.eye(dataset.dim, dtype=np.complex128) / dataset.dim
+    probs = outcome_probabilities(rho, dataset, floor)
+    state = _Step(rho, _r_from_probs(dataset, probs), _objective_from_probs(probs, rho, dataset, g))
+    yield state
+    previous = None  # the iterate before state, for cycle detection
+    for _ in range(max_iterations):
+        b = state.r if g is None else g.inverse @ state.r
+        tried, best_delta = [], -math.inf
+        for eps in trial_epsilons(state.rho, dataset, floor, g):
+            candidate = _apply_map(state.rho, b, eps)
+            probs = np.maximum(_traces(dataset, candidate), floor)
+            objective = _objective_from_probs(probs, candidate, dataset, g)
+            tried.append(eps)
+            best_delta = max(best_delta, objective - state.objective)
+            if strategy._stall_reason is None or objective > state.objective:
+                break
+        else:
+            yield state._replace(stall=strategy._stall_diagnostics(tried, best_delta))
+            return
+        change = float(np.max(np.abs(candidate - state.rho)))
+        cycled = previous is not None and change > CYCLE_ATOL and (
+            float(np.max(np.abs(candidate - previous))) <= CYCLE_ATOL)
+        previous = state.rho
+        state = _Step(candidate, _r_from_probs(dataset, probs), objective, eps, change, cycled)
+        yield state
 
 
 def reconstruct(dataset: Dataset, config: ReconstructionConfig = ReconstructionConfig()) -> ReconstructionResult:
@@ -400,128 +472,39 @@ def reconstruct(dataset: Dataset, config: ReconstructionConfig = ReconstructionC
     tol_element, objective change below tol_loglik, a detected period-two
     cycle, or the iteration cap.
     """
-    dim = dataset.dim
-    floor = config.probability_floor
     g = GOperator.from_dataset(dataset) if config.g_correction else None
-    strategy = config.strategy
-    rng = np.random.default_rng(strategy.seed) if isinstance(strategy, RandomEpsilon) else None
-
-    rho = np.eye(dim, dtype=np.complex128) / dim
-    probs = outcome_probabilities(rho, dataset, floor)
-    r = _r_from_probs(dataset, probs)
-    objective = _objective_from_probs(probs, rho, dataset, g)
-
-    loglik_trace = [objective]
+    loglik_trace: list[float] = []
     eps_trace: list[float] = []
-    previous: np.ndarray | None = None  # iterate k-1, for cycle detection
     termination = Termination.MAX_ITERATIONS
     diagnostics: dict = {}
-    residual = math.inf
-    iterations = 0
 
-    def evaluate(candidate: np.ndarray) -> tuple[np.ndarray, float]:
-        cand_probs = np.maximum(_traces(dataset, candidate), floor)
-        return cand_probs, _objective_from_probs(cand_probs, candidate, dataset, g)
-
-    for iterations in range(1, config.max_iterations + 1):
-        b = r if g is None else g.inverse @ r
-
-        candidate: np.ndarray | None = None
-        cand_probs = probs
-        new_objective = math.nan
-        eps_used = math.inf
-
-        if isinstance(strategy, (InfiniteRhoR, FixedEpsilon)):
-            eps_used = math.inf if isinstance(strategy, InfiniteRhoR) else strategy.epsilon
-            candidate = _apply_map(rho, b, eps_used)
-            cand_probs, new_objective = evaluate(candidate)
-        elif isinstance(strategy, AdaptiveBackoff):
-            trials = [math.inf] + [
-                strategy.epsilon0 * strategy.shrink**k for k in range(strategy.max_retries)
-            ]
-            best_delta = -math.inf
-            for eps in trials:
-                trial = _apply_map(rho, b, eps)
-                trial_probs, value = evaluate(trial)
-                best_delta = max(best_delta, value - objective)
-                if value > objective:
-                    candidate, cand_probs, new_objective, eps_used = trial, trial_probs, value, eps
-                    break
-            if candidate is None:
-                diagnostics = {
-                    "reason": "no step-size trial increased the likelihood",
-                    "trials": len(trials),
-                    "best_delta": best_delta,
-                    "smallest_epsilon": trials[-1],
-                }
-        elif isinstance(strategy, RandomEpsilon):
-            best_delta = -math.inf
-            for _ in range(strategy.max_retries):
-                eps = math.exp(rng.uniform(math.log(1e-4), math.log(strategy.epsilon_max)))
-                trial = _apply_map(rho, b, eps)
-                trial_probs, value = evaluate(trial)
-                best_delta = max(best_delta, value - objective)
-                if value > objective:
-                    candidate, cand_probs, new_objective, eps_used = trial, trial_probs, value, eps
-                    break
-            if candidate is None:
-                diagnostics = {
-                    "reason": "no random step size increased the likelihood",
-                    "trials": strategy.max_retries,
-                    "best_delta": best_delta,
-                }
-        elif isinstance(strategy, LineSearchEpsilon):
-            eps_used, _ = choose_epsilon_line_search(rho, dataset, strategy, floor, g)
-            candidate = _apply_map(rho, b, eps_used)
-            cand_probs, new_objective = evaluate(candidate)
-        else:
-            raise ValidationError(f"unknown step-size strategy {strategy!r}")
-
-        if candidate is None:
-            termination = Termination.LIKELIHOOD_STALLED
-            iterations -= 1
+    for state in _iterate(dataset, config.strategy, config.probability_floor, g, config.max_iterations):
+        if state.stall is not None:
+            termination, diagnostics = Termination.LIKELIHOOD_STALLED, state.stall
             break
-
-        change = float(np.max(np.abs(candidate - rho)))
-        delta = new_objective - objective
-        new_r = _r_from_probs(dataset, cand_probs)
-        if g is None:
-            residual = float(np.linalg.norm(new_r @ candidate - candidate))
-        else:
-            residual = _g_residual(candidate, new_r, g)
-
-        loglik_trace.append(new_objective)
-        eps_trace.append(eps_used)
-
+        residual = _residual(state.rho, state.r, g)
+        loglik_trace.append(state.objective)
+        if len(loglik_trace) == 1:
+            continue  # the starting state
+        eps_trace.append(state.eps)
         if residual <= config.tol_residual:
             termination = Termination.RESIDUAL_MET
-        elif change <= config.tol_element:
+        elif state.change <= config.tol_element:
             termination = Termination.ELEMENT_CHANGE_MET
-        elif abs(delta) <= config.tol_loglik:
+        elif abs(loglik_trace[-1] - loglik_trace[-2]) <= config.tol_loglik:
             termination = Termination.LIKELIHOOD_STALLED
-        elif (
-            previous is not None
-            and change > CYCLE_ATOL
-            and float(np.max(np.abs(candidate - previous))) <= CYCLE_ATOL
-        ):
+        elif state.cycled:
             termination = Termination.CYCLE_DETECTED
-            diagnostics = {"reason": "iterates repeat with period two", "cycle_gap": change}
-        previous = rho
-        rho, probs, r, objective = candidate, cand_probs, new_r, new_objective
+            diagnostics = {"reason": "iterates repeat with period two", "cycle_gap": state.change}
         if termination is not Termination.MAX_ITERATIONS:
             break
 
-    if math.isinf(residual):  # no step was ever accepted
-        residual = (
-            float(np.linalg.norm(r @ rho - rho)) if g is None else _g_residual(rho, r, g)
-        )
-
     return ReconstructionResult(
-        estimate=rho,
+        estimate=state.rho,
         log_likelihood_trace=np.asarray(loglik_trace),
         epsilon_trace=np.asarray(eps_trace),
         final_residual=residual,
-        iterations=iterations,
+        iterations=len(eps_trace),
         termination=termination,
         diagnostics=diagnostics,
     )

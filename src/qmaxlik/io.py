@@ -55,12 +55,16 @@ def parse_dataset(path, dim: int | None = None) -> Dataset:
     """Load a dataset file; ``.json`` holds counted elements, ``.csv`` quadrature samples.
 
     For CSV input ``dim`` selects the Fock-space truncation of the per-sample
-    projectors and is required. Invariants (Hermiticity, positivity, counts)
-    are validated on load.
+    projectors and is required; for JSON input it is optional and must match
+    the file's dim. Invariants (Hermiticity, positivity, counts) are validated
+    on load.
     """
     path = Path(path)
     if path.suffix.lower() == ".json":
-        return _parse_counts_json(path)
+        dataset = _parse_counts_json(path)
+        if dim is not None and dim != dataset.dim:
+            raise DataFormatError(f"{path}: file has dim {dataset.dim}, but dim {dim} was given")
+        return dataset
     if path.suffix.lower() == ".csv":
         if dim is None:
             raise DataFormatError("quadrature CSV input needs an explicit dimension")
@@ -190,9 +194,13 @@ def write_result_json(path, result: ReconstructionResult) -> None:
 
 
 def parse_result_estimate(path) -> np.ndarray:
-    payload = json.loads(Path(path).read_text())
-    dim = int(payload["dim"])
-    return _matrix_from_parts(payload["estimate"]["re"], payload["estimate"]["im"], dim, str(path))
+    try:
+        payload = json.loads(Path(path).read_text())
+        dim = int(payload["dim"])
+        re, im = payload["estimate"]["re"], payload["estimate"]["im"]
+    except (KeyError, TypeError, ValueError) as exc:  # ValueError covers invalid JSON
+        raise DataFormatError(f"{path}: not a result file ({exc!r})") from exc
+    return _matrix_from_parts(re, im, dim, str(path))
 
 
 def write_sweep_csv(path, rows: list[SweepRow]) -> None:

@@ -3,7 +3,9 @@
 Protocol: solve the dataset once to high accuracy (line-search steps, 1e-10
 element tolerance), then rerun the diluted iteration from scratch for each eps
 and count steps until every matrix element is within the requested tolerance
-of the reference. eps = inf rows use the plain quadratic update.
+of the reference. Each trajectory is the loop ``reconstruct`` runs under
+``FixedEpsilon(eps)`` (no G-correction), eps = inf giving the plain quadratic
+update. Every eps and tolerance must be positive; NaN is rejected.
 """
 
 from __future__ import annotations
@@ -14,16 +16,13 @@ import numpy as np
 
 from .dataset import Dataset
 from .engine import (
-    CYCLE_ATOL,
     DEFAULT_PROBABILITY_FLOOR,
+    FixedEpsilon,
     LineSearchEpsilon,
     ReconstructionConfig,
     ReconstructionResult,
     Termination,
-    _apply_map,
-    _r_from_probs,
-    _traces,
-    outcome_probabilities,
+    _iterate,
     reconstruct,
 )
 from .errors import ValidationError
@@ -81,32 +80,20 @@ def sweep_iteration_counts(
     tol_list = sorted(float(t) for t in tolerances)
     if not eps_list or not tol_list:
         raise ValidationError("need at least one eps and one tolerance")
-    if min(tol_list) <= 0 or any(e <= 0 for e in eps_list):
+    if not all(x > 0 for x in eps_list + tol_list):
         raise ValidationError("eps values and tolerances must be positive")
 
     crossings: dict[tuple[float, float], int | None] = {}
     for eps in eps_list:
         remaining = list(tol_list)  # ascending: loosest at the end, popped first
-        rho = np.eye(dataset.dim, dtype=np.complex128) / dataset.dim
-        probs = outcome_probabilities(rho, dataset, floor)
-        previous = None
-        for iteration in range(1, max_iterations + 1):
-            r = _r_from_probs(dataset, probs)
-            candidate = _apply_map(rho, r, eps)
-            probs = np.maximum(_traces(dataset, candidate), floor)
-            distance = float(np.max(np.abs(candidate - reference)))
+        steps = _iterate(dataset, FixedEpsilon(eps), floor, None, max_iterations)
+        next(steps)  # the starting state
+        for iteration, step in enumerate(steps, start=1):
+            distance = float(np.max(np.abs(step.rho - reference)))
             while remaining and distance < remaining[-1]:
                 crossings[(eps, remaining.pop())] = iteration
-            if not remaining:
-                break
-            if (
-                previous is not None
-                and float(np.max(np.abs(candidate - previous))) <= CYCLE_ATOL
-                and float(np.max(np.abs(candidate - rho))) > CYCLE_ATOL
-            ):
-                break  # period-two cycle; no further progress possible
-            previous = rho
-            rho = candidate
+            if not remaining or step.cycled:
+                break  # after a period-two cycle no further progress is possible
         for tol in remaining:
             crossings[(eps, tol)] = None
 

@@ -216,6 +216,13 @@ class TestLineSearch:
         assert gain == pytest.approx(actual, abs=1e-12)
 
 
+@pytest.mark.parametrize("value", [math.nan, 0.0, -1e-8])
+@pytest.mark.parametrize("name", ["tol_residual", "tol_element", "tol_loglik"])
+def test_config_rejects_non_positive_tolerance(name, value):
+    with pytest.raises(ValidationError, match="tolerances"):
+        ReconstructionConfig(**{name: value})
+
+
 class TestReconstruct:
     def test_rhor_detects_cycle(self, qubit_record):
         res = reconstruct(qubit_record, ReconstructionConfig(strategy=InfiniteRhoR(), max_iterations=100))
@@ -314,3 +321,107 @@ class TestReconstruct:
             r = r_operator(res.estimate, d)
             assert abs((r @ res.estimate @ r).trace().real - 1.0) <= 10 * tol
         assert hits >= 1
+
+
+# ---------------------------------------------------------------------------
+# regression table of the iteration loop
+
+REGRESSION_DATASETS = {
+    "qubit": counterexample_dataset(),
+    "povm2": random_dataset(np.random.default_rng(2), dim=2, n_outcomes=4),
+    "povm3": random_dataset(np.random.default_rng(3), dim=3, n_outcomes=10),
+}
+REGRESSION_STRATEGIES = {
+    "rhor": InfiniteRhoR(),
+    "fixed": FixedEpsilon(2.0),
+    "adaptive": AdaptiveBackoff(),
+    "linesearch": LineSearchEpsilon(),
+    "random": RandomEpsilon(seed=4),
+    "adaptive1": AdaptiveBackoff(max_retries=1),
+    "random1": RandomEpsilon(max_retries=1),
+}
+
+# (dataset, strategy, g_correction) -> (termination, iterations, quadratic steps,
+# sum of log eps over the finite steps, (diagnostics keys, reason, trials) or None).
+# With G-correction the random POVMs lose their last element, so G != identity.
+# The single-retry strategies run with tolerances too tight to meet, so the
+# stall after a failed trial ends the run.
+REGRESSION_TABLE = {
+    ("qubit", "rhor", False): (
+        "cycle_detected", 2, 2, 0.0,
+        (["cycle_gap", "reason"], "iterates repeat with period two", None),
+    ),
+    ("qubit", "rhor", True): (
+        "cycle_detected", 2, 2, 0.0,
+        (["cycle_gap", "reason"], "iterates repeat with period two", None),
+    ),
+    ("qubit", "fixed", False): ("likelihood_stalled", 14, 0, 9.704060527839234, None),
+    ("qubit", "fixed", True): ("likelihood_stalled", 14, 0, 9.704060527839234, None),
+    ("qubit", "adaptive", False): ("residual_met", 6, 3, 0.0, None),
+    ("qubit", "adaptive", True): ("residual_met", 6, 3, 0.0, None),
+    ("qubit", "linesearch", False): ("residual_met", 2, 0, 0.09098782819768422, None),
+    ("qubit", "linesearch", True): ("residual_met", 2, 0, 0.09098782819768422, None),
+    ("qubit", "random", False): ("likelihood_stalled", 19, 0, -37.81243373053271, None),
+    ("qubit", "random", True): ("likelihood_stalled", 19, 0, -37.81243373053271, None),
+    ("povm2", "rhor", False): ("residual_met", 108, 108, 0.0, None),
+    ("povm2", "rhor", True): ("likelihood_stalled", 276, 276, 0.0, None),
+    ("povm2", "fixed", False): ("residual_met", 164, 0, 113.67613761183104, None),
+    ("povm2", "fixed", True): ("max_iterations", 300, 0, 207.94415416798358, None),
+    ("povm2", "adaptive", False): ("residual_met", 108, 108, 0.0, None),
+    ("povm2", "adaptive", True): ("likelihood_stalled", 276, 276, 0.0, None),
+    ("povm2", "linesearch", False): ("residual_met", 108, 0, 746.0375701300707, None),
+    ("povm2", "linesearch", True): ("likelihood_stalled", 277, 0, 1858.5917348614744, None),
+    ("povm2", "random", False): ("max_iterations", 300, 0, -848.3865398783514, None),
+    ("povm2", "random", True): ("max_iterations", 300, 0, -848.3865398783514, None),
+    ("povm3", "rhor", False): ("max_iterations", 300, 300, 0.0, None),
+    ("povm3", "rhor", True): ("max_iterations", 300, 300, 0.0, None),
+    ("povm3", "fixed", False): ("max_iterations", 300, 0, 207.94415416798358, None),
+    ("povm3", "fixed", True): ("max_iterations", 300, 0, 207.94415416798358, None),
+    ("povm3", "adaptive", False): ("max_iterations", 300, 300, 0.0, None),
+    ("povm3", "adaptive", True): ("max_iterations", 300, 300, 0.0, None),
+    ("povm3", "linesearch", False): ("max_iterations", 300, 0, 2061.983434908972, None),
+    ("povm3", "linesearch", True): ("max_iterations", 300, 0, 2046.3350108182947, None),
+    ("povm3", "random", False): ("max_iterations", 300, 0, -848.3865398783514, None),
+    ("povm3", "random", True): ("max_iterations", 300, 0, -848.3865398783514, None),
+    ("qubit", "adaptive1", False): (
+        "likelihood_stalled", 6, 3, 0.0,
+        (["best_delta", "reason", "smallest_epsilon", "trials"], "no step-size trial increased the likelihood", 2),
+    ),
+    ("qubit", "random1", False): (
+        "likelihood_stalled", 32, 0, -97.76855069261616,
+        (["best_delta", "reason", "trials"], "no random step size increased the likelihood", 1),
+    ),
+    ("povm2", "adaptive1", False): (
+        "likelihood_stalled", 205, 205, 0.0,
+        (["best_delta", "reason", "smallest_epsilon", "trials"], "no step-size trial increased the likelihood", 2),
+    ),
+    ("povm2", "random1", False): ("max_iterations", 300, 0, -897.0657185949822, None),
+    ("povm3", "adaptive1", False): ("max_iterations", 300, 300, 0.0, None),
+    ("povm3", "random1", False): ("max_iterations", 300, 0, -897.0657185949822, None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REGRESSION_TABLE), ids=lambda c: "-".join(map(str, c)))
+def test_loop_regression_table(case):
+    name, strategy, g = case
+    d = REGRESSION_DATASETS[name]
+    if g and name != "qubit":
+        d = Dataset(elements=d.elements[:-1], counts=d.counts[:-1])
+    tight = strategy.endswith("1")
+    config = ReconstructionConfig(
+        strategy=REGRESSION_STRATEGIES[strategy],
+        g_correction=g,
+        max_iterations=300,
+        tol_residual=1e-15 if tight else 1e-8,
+        tol_element=1e-16 if tight else 1e-10,
+        tol_loglik=1e-16 if tight else 1e-13,
+    )
+    res = reconstruct(d, config)
+    termination, iterations, n_inf, log_eps_sum, diagnostics = REGRESSION_TABLE[case]
+    eps = res.epsilon_trace
+    assert res.termination.value == termination
+    assert res.iterations == iterations == len(eps)
+    assert int(np.isinf(eps).sum()) == n_inf
+    assert float(np.log(eps[np.isfinite(eps)]).sum()) == pytest.approx(log_eps_sum, rel=1e-9, abs=1e-9)
+    diag = res.diagnostics
+    assert ((sorted(diag), diag["reason"], diag.get("trials")) if diag else None) == diagnostics

@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmaxlik import DataFormatError, QuadratureSample, counterexample_dataset, fidelity, preset_state
 from qmaxlik import io as qio
@@ -63,6 +67,18 @@ class TestDatasetRoundTrip:
         path.write_text("phi,value\n0.0,0.0\n")
         with pytest.raises(DataFormatError, match="header"):
             qio.parse_dataset(path, dim=2)
+
+    def test_json_dim_must_match_file(self, counterexample_json):
+        assert qio.parse_dataset(counterexample_json, dim=2).dim == 2
+        with pytest.raises(DataFormatError, match="dim"):
+            qio.parse_dataset(counterexample_json, dim=7)
+
+    @pytest.mark.parametrize("text", ["{trunc", "[]", '{"dim": 2}', '{"dim": 2, "estimate": {"re": []}}'])
+    def test_malformed_result_rejected(self, tmp_path, text):
+        path = tmp_path / "result.json"
+        path.write_text(text)
+        with pytest.raises(DataFormatError):
+            qio.parse_result_estimate(path)
 
 
 class TestCliReconstruct:
@@ -137,6 +153,17 @@ class TestCliReconstruct:
         assert code in (0, 4)
         estimate = qio.parse_result_estimate(out)
         assert np.max(np.abs(estimate - np.diag([1 / 3, 2 / 3]))) <= 1e-6
+
+    def test_json_dim_mismatch_exit_two(self, tmp_path, counterexample_json):
+        out = tmp_path / "o.json"
+        assert main(["reconstruct", str(counterexample_json), "--dim", "7", "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--tol-residual", "--tol-element", "--tol-loglik"])
+    def test_nan_tolerance_exit_three(self, tmp_path, counterexample_json, flag):
+        out = tmp_path / "o.json"
+        assert main(["reconstruct", str(counterexample_json), flag, "nan", "--out", str(out)]) == 3
+        assert not out.exists()
 
     def test_byte_identical_reruns(self, tmp_path, counterexample_json):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -223,6 +250,41 @@ class TestCliSweep:
         assert code == 4
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flag, value, code",
+        [
+            ("--epsilons", "abc", 2),
+            ("--epsilons", "1,2x", 2),
+            ("--tolerances", "1e-3,oops", 2),
+            ("--epsilons", "nan,1", 3),
+            ("--epsilons", "0,1", 3),
+            ("--epsilons", "-1", 3),
+            ("--epsilons", "-inf", 3),
+            ("--tolerances", "nan", 3),
+            ("--tolerances", "0", 3),
+            ("--tolerances", "inf", 3),
+            ("--tolerances", ",", 3),
+        ],
+    )
+    def test_bad_list_flag_rejected(self, tmp_path, counterexample_json, flag, value, code):
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", str(counterexample_json), f"{flag}={value}", "--max-iters", "50", "--out", str(out)]
+        assert main(argv) == code
+        assert not out.exists()
+
+    def test_truncated_cache_is_rewritten(self, tmp_path, counterexample_json):
+        cache = tmp_path / "cache"
+        args = ["sweep", str(counterexample_json), "--epsilons", "0.5,inf", "--tolerances", "1e-4",
+                "--cache-dir", str(cache)]
+        cold, warm = tmp_path / "cold.csv", tmp_path / "warm.csv"
+        assert main(args + ["--out", str(cold)]) == 0
+        (cached,) = cache.glob("reference-*.json")
+        intact = cached.read_bytes()
+        cached.write_bytes(intact[: len(intact) // 2])
+        assert main(args + ["--out", str(warm)]) == 0
+        assert warm.read_bytes() == cold.read_bytes()
+        assert cached.read_bytes() == intact
+
     def test_reference_cache_reused(self, tmp_path, counterexample_json):
         out = tmp_path / "sweep.csv"
         cache = tmp_path / "cache"
@@ -244,6 +306,45 @@ class TestCliSweep:
         stamp = cached[0].stat().st_mtime_ns
         assert main(args) == 0
         assert cached[0].stat().st_mtime_ns == stamp  # untouched on the second run
+
+
+_NUMBER = st.one_of(
+    st.floats(min_value=1e-12, max_value=1e3).map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "0", "-1", "1e400", "1e-400", "abc", "", " 1 ", "1,"]),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+)
+_LIST = st.lists(_NUMBER, max_size=3).map(",".join)
+_DIM = st.one_of(st.none(), st.just("2"), st.sampled_from(["-1", "0", "3", "x", "2.5", ""]))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    command=st.sampled_from(["reconstruct", "sweep"]),
+    lists=st.tuples(_LIST, _LIST),
+    tolerances=st.tuples(_NUMBER, _NUMBER, _NUMBER),
+    dim=_DIM,
+)
+def test_cli_flag_fuzz(tmp_path_factory, command, lists, tolerances, dim):
+    """Any list, tolerance or --dim value ends in a documented exit code, never a traceback."""
+    workdir = tmp_path_factory.mktemp("fuzz")
+    data = workdir / "qubit.json"
+    qio.write_counts_dataset(data, counterexample_dataset())
+    argv = [command, str(data), "--out", str(workdir / "out")]
+    if command == "reconstruct":
+        flags = ["--tol-residual", "--tol-element", "--tol-loglik"]
+        argv += [f"{flag}={value}" for flag, value in zip(flags, tolerances)] + ["--max-iters", "20"]
+    else:
+        argv += [f"--epsilons={lists[0]}", f"--tolerances={lists[1]}", "--max-iters", "50"]
+    if dim is not None:
+        argv.append(f"--dim={dim}")
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects a malformed number itself
+            code = exc.code
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in stderr.getvalue()
 
 
 class TestStateFiles:

@@ -65,3 +65,8 @@ class TestIterationCounts:
     def test_rejects_empty_lists(self):
         with pytest.raises(ValidationError):
             sweep_iteration_counts(counterexample_dataset(), MLE, [], [1e-3])
+
+    @pytest.mark.parametrize("epsilons, tolerances", [([math.nan], [1e-3]), ([1.0], [math.nan]), ([1.0, -2.0], [1e-3])])
+    def test_rejects_nan_and_non_positive(self, epsilons, tolerances):
+        with pytest.raises(ValidationError, match="positive"):
+            sweep_iteration_counts(counterexample_dataset(), MLE, epsilons, tolerances)
