@@ -7,7 +7,7 @@ Includes builders for projective and homodyne measurement operators, synthetic
 data generation, convergence sweeps, and a command-line front end.
 """
 
-from .dataset import Dataset, GOperator
+from .dataset import Dataset, GOperator, QuadratureDataset
 from .engine import (
     AdaptiveBackoff,
     EpsilonStrategy,
@@ -60,6 +60,7 @@ __all__ = [
     "GOperator",
     "InfiniteRhoR",
     "LineSearchEpsilon",
+    "QuadratureDataset",
     "QuadratureSample",
     "RandomEpsilon",
     "ReconstructionConfig",

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import io
 from .engine import (
+    DEFAULT_PROBABILITY_FLOOR,
     AdaptiveBackoff,
     FixedEpsilon,
     InfiniteRhoR,
@@ -31,7 +32,7 @@ from .engine import (
 from .errors import DataFormatError, ValidationError
 from .povm import projector_from_state
 from .simulate import RNG_ALGORITHM, SimulationSpec, preset_state, sample_counts, sample_quadratures
-from .sweep import reference_solution, sweep_iteration_counts
+from .sweep import REFERENCE_TOLERANCE, reference_solution, sweep_iteration_counts
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -39,6 +40,9 @@ EXIT_VALIDATION = 3
 EXIT_NO_CONVERGENCE = 4
 
 CONVERGED = (Termination.RESIDUAL_MET, Termination.ELEMENT_CHANGE_MET)
+# Part of the sweep's cache key; bump it whenever a change to the solver alters
+# the reference solutions it writes, even in their last bits.
+REFERENCE_CACHE_FORMAT = 2
 
 
 def _manifest_path(out: Path) -> Path:
@@ -134,10 +138,13 @@ def _parse_float_list(text: str, allow_inf: bool) -> list[float]:
     return values
 
 
-def _cached_reference(dataset_path: Path, dim, cache_dir: Path | None):
+def _cached_reference(dataset_path: Path, dim, max_iters: int, cache_dir: Path | None):
+    """The cached reference solution for this input and solve, if any, and its cache file."""
     if cache_dir is None:
         return None, None
-    digest = hashlib.sha256(dataset_path.read_bytes() + f"|dim={dim}".encode()).hexdigest()
+    key = (f"|dim={dim}|max_iters={max_iters}|floor={DEFAULT_PROBABILITY_FLOOR!r}"
+           f"|tolerance={REFERENCE_TOLERANCE!r}|format={REFERENCE_CACHE_FORMAT}")
+    digest = hashlib.sha256(dataset_path.read_bytes() + key.encode()).hexdigest()
     cache_file = cache_dir / f"reference-{digest[:24]}.json"
     if cache_file.exists():
         try:
@@ -157,7 +164,7 @@ def cmd_sweep(args) -> int:
     cache_dir.mkdir(parents=True, exist_ok=True)
 
     start = time.perf_counter()
-    reference, cache_file = _cached_reference(dataset_path, args.dim, cache_dir)
+    reference, cache_file = _cached_reference(dataset_path, args.dim, args.max_iters, cache_dir)
     if reference is None:
         try:
             ref_result = reference_solution(dataset, max_iterations=args.max_iters)

@@ -28,7 +28,7 @@ from typing import ClassVar, NamedTuple, Union
 
 import numpy as np
 
-from .dataset import Dataset, GOperator
+from .dataset import GOperator, MeasurementRecord
 from .errors import ValidationError
 from .operators import hermitize, normalize
 
@@ -46,7 +46,7 @@ class _Strategy:
     """A strategy is the eps values each step tries, and whether a trial must raise the objective.
 
     ``_trial_epsilons()`` is called once per run and returns a function of the
-    current (rho, dataset, floor, g) giving the eps values to try, in order.
+    current (state, dataset, floor, g) giving the eps values to try, in order.
     Monotone strategies name a ``_stall_reason``, reported when no trial helps.
     """
 
@@ -61,7 +61,7 @@ class InfiniteRhoR(_Strategy):
     """Plain quadratic update every step; fastest, but monotonicity is not guaranteed."""
 
     def _trial_epsilons(self):
-        return lambda rho, dataset, floor, g: (math.inf,)
+        return lambda state, dataset, floor, g: (math.inf,)
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,7 @@ class FixedEpsilon(_Strategy):
             raise ValidationError("epsilon must be positive")
 
     def _trial_epsilons(self):
-        return lambda rho, dataset, floor, g: (self.epsilon,)
+        return lambda state, dataset, floor, g: (self.epsilon,)
 
 
 @dataclass(frozen=True)
@@ -99,7 +99,7 @@ class AdaptiveBackoff(_Strategy):
 
     def _trial_epsilons(self):
         trials = [math.inf] + [self.epsilon0 * self.shrink**k for k in range(self.max_retries)]
-        return lambda rho, dataset, floor, g: trials
+        return lambda state, dataset, floor, g: trials
 
     def _stall_diagnostics(self, tried: list[float], best_delta: float) -> dict:
         return {**super()._stall_diagnostics(tried, best_delta), "smallest_epsilon": tried[-1]}
@@ -125,7 +125,8 @@ class LineSearchEpsilon(_Strategy):
             raise ValidationError("grid_points must be >= 2 and refinements >= 0")
 
     def _trial_epsilons(self):
-        return lambda rho, dataset, floor, g: (choose_epsilon_line_search(rho, dataset, self, floor, g)[0],)
+        return lambda state, dataset, floor, g: (
+            choose_epsilon_line_search(state.rho, dataset, self, floor, g, state=state)[0],)
 
 
 @dataclass(frozen=True)
@@ -148,7 +149,7 @@ class RandomEpsilon(_Strategy):
     def _trial_epsilons(self):
         rng = np.random.default_rng(self.seed)  # one stream per run, drawn only as trials are tried
 
-        def draws(rho, dataset, floor, g):
+        def draws(state, dataset, floor, g):
             for _ in range(self.max_retries):
                 yield math.exp(rng.uniform(math.log(1e-4), math.log(self.epsilon_max)))
 
@@ -209,47 +210,33 @@ class ReconstructionResult:
 # elementary operations
 
 
-def _check_dims(rho: np.ndarray, dataset: Dataset) -> np.ndarray:
+def _check_dims(rho: np.ndarray, dataset: MeasurementRecord) -> np.ndarray:
     rho = np.asarray(rho, dtype=np.complex128)
     if rho.shape != (dataset.dim, dataset.dim):
         raise ValidationError(f"state shape {rho.shape} does not match dataset dim {dataset.dim}")
     return rho
 
 
-def _traces(dataset: Dataset, matrix: np.ndarray) -> np.ndarray:
-    """tr(Pi_k matrix) for every element, as real numbers (matrix is Hermitian)."""
-    vectors = dataset.vectors
-    if vectors is not None:
-        return np.einsum("ki,ij,kj->k", dataset.vectors_conj, matrix, vectors, optimize=True).real
-    return np.einsum("kij,ji->k", dataset.elements, matrix).real
-
-
-def outcome_probabilities(rho, dataset: Dataset, floor: float = DEFAULT_PROBABILITY_FLOOR) -> np.ndarray:
+def outcome_probabilities(rho, dataset: MeasurementRecord, floor: float = DEFAULT_PROBABILITY_FLOOR) -> np.ndarray:
     """Per-outcome probabilities tr(Pi_j rho), floored away from zero."""
     rho = _check_dims(rho, dataset)
-    return np.maximum(_traces(dataset, rho), floor)
+    return np.maximum(dataset.traces(rho), floor)
 
 
-def log_likelihood(rho, dataset: Dataset, floor: float = DEFAULT_PROBABILITY_FLOOR) -> float:
+def log_likelihood(rho, dataset: MeasurementRecord, floor: float = DEFAULT_PROBABILITY_FLOOR) -> float:
     """sum_j f_j log pr_j with floored probabilities."""
     pr = outcome_probabilities(rho, dataset, floor)
     return float(dataset.counts @ np.log(pr))
 
 
-def r_operator(rho, dataset: Dataset, floor: float = DEFAULT_PROBABILITY_FLOOR) -> np.ndarray:
+def r_operator(rho, dataset: MeasurementRecord, floor: float = DEFAULT_PROBABILITY_FLOOR) -> np.ndarray:
     """(1/N) sum_j (f_j / pr_j) Pi_j for the current state; Hermitian PSD."""
     rho = _check_dims(rho, dataset)
     return _r_from_probs(dataset, outcome_probabilities(rho, dataset, floor))
 
 
-def _r_from_probs(dataset: Dataset, probs: np.ndarray) -> np.ndarray:
-    weights = dataset.counts / (dataset.total * probs)
-    vectors = dataset.vectors
-    if vectors is not None:
-        r = (vectors * weights[:, None]).T @ dataset.vectors_conj
-    else:
-        r = np.einsum("k,kij->ij", weights, dataset.elements)
-    return hermitize(r)
+def _r_from_probs(dataset: MeasurementRecord, probs: np.ndarray) -> np.ndarray:
+    return hermitize(dataset.weighted_sum(dataset.counts / (dataset.total * probs)))
 
 
 def _apply_map(rho: np.ndarray, b: np.ndarray, eps: float) -> np.ndarray:
@@ -261,13 +248,13 @@ def _apply_map(rho: np.ndarray, b: np.ndarray, eps: float) -> np.ndarray:
     return normalize(hermitize(m @ rho @ m.conj().T))
 
 
-def rhor_step(rho, dataset: Dataset, floor: float = DEFAULT_PROBABILITY_FLOOR) -> np.ndarray:
+def rhor_step(rho, dataset: MeasurementRecord, floor: float = DEFAULT_PROBABILITY_FLOOR) -> np.ndarray:
     """One plain quadratic update: normalize(R rho R)."""
     rho = _check_dims(rho, dataset)
     return _apply_map(rho, r_operator(rho, dataset, floor), math.inf)
 
 
-def diluted_step(rho, dataset: Dataset, eps: float, floor: float = DEFAULT_PROBABILITY_FLOOR) -> np.ndarray:
+def diluted_step(rho, dataset: MeasurementRecord, eps: float, floor: float = DEFAULT_PROBABILITY_FLOOR) -> np.ndarray:
     """One diluted update with blending weight ``eps`` (eps = inf reproduces rhor_step)."""
     if not eps > 0:
         raise ValidationError("eps must be positive")
@@ -277,7 +264,7 @@ def diluted_step(rho, dataset: Dataset, eps: float, floor: float = DEFAULT_PROBA
 
 def g_corrected_step(
     rho,
-    dataset: Dataset,
+    dataset: MeasurementRecord,
     g: GOperator,
     eps: float,
     floor: float = DEFAULT_PROBABILITY_FLOOR,
@@ -296,7 +283,7 @@ def g_corrected_step(
     return _apply_map(rho, b, eps)
 
 
-def extremal_residual(rho, dataset: Dataset, floor: float = DEFAULT_PROBABILITY_FLOOR) -> float:
+def extremal_residual(rho, dataset: MeasurementRecord, floor: float = DEFAULT_PROBABILITY_FLOOR) -> float:
     """Frobenius norm of R rho - rho; zero exactly at the maximum-likelihood state."""
     rho = _check_dims(rho, dataset)
     return _residual(rho, r_operator(rho, dataset, floor), None)
@@ -310,7 +297,9 @@ def _residual(rho: np.ndarray, r: np.ndarray, g: GOperator | None) -> float:
     return float(np.linalg.norm(tau * (g.inverse @ (r @ rho)) - rho))
 
 
-def likelihood_gain_first_order(rho, dataset: Dataset, eps: float, floor: float = DEFAULT_PROBABILITY_FLOOR) -> float:
+def likelihood_gain_first_order(
+    rho, dataset: MeasurementRecord, eps: float, floor: float = DEFAULT_PROBABILITY_FLOOR
+) -> float:
     """First-order likelihood gain 2*eps*(tr(R rho R) - 1) of a diluted step.
 
     Non-negative for every state by the Cauchy-Schwarz inequality, and zero
@@ -335,20 +324,19 @@ class _GainProfile:
     gain at a new eps costs O(n_outcomes) instead of a fresh matrix sandwich.
     """
 
-    def __init__(self, rho: np.ndarray, dataset: Dataset, floor: float, g: GOperator | None):
+    def __init__(self, state: _Step, dataset: MeasurementRecord, floor: float, g: GOperator | None):
         self.dataset = dataset
         self.floor = floor
-        probs = outcome_probabilities(rho, dataset, floor)
-        r = _r_from_probs(dataset, probs)
-        b = r if g is None else g.inverse @ r
+        rho = state.rho
+        b = state.r if g is None else g.inverse @ state.r
         t1 = b @ rho + rho @ b.conj().T
         t2 = b @ rho @ b.conj().T
-        self._p0 = _traces(dataset, rho)
-        self._p1 = _traces(dataset, t1)
-        self._p2 = _traces(dataset, t2)
+        self._p0 = state.traces
+        self._p1 = dataset.traces(t1)
+        self._p2 = dataset.traces(t2)
         self._s = np.array([1.0, t1.trace().real, t2.trace().real])
         self._gamma = None if g is None else np.array([(g.matrix @ m).trace().real for m in (rho, t1, t2)])
-        self._base = _objective_from_probs(probs, rho, dataset, g)
+        self._base = state.objective
 
     def __call__(self, eps: float) -> float:
         coeff = np.array([1.0, eps, eps * eps])
@@ -362,19 +350,25 @@ class _GainProfile:
 
 def choose_epsilon_line_search(
     rho,
-    dataset: Dataset,
+    dataset: MeasurementRecord,
     params: LineSearchEpsilon = LineSearchEpsilon(),
     floor: float = DEFAULT_PROBABILITY_FLOOR,
     g: GOperator | None = None,
+    *,
+    state: _Step | None = None,
 ) -> tuple[float, float]:
     """Step size maximizing the actual likelihood gain, and that gain.
 
     Scans a logarithmic grid over [grid_lo, grid_hi], then refines around the
     best grid point by golden section in log(eps). Away from the maximum the
     returned gain is positive; at the maximum it collapses to zero (up to
-    roundoff), which callers treat as a stall.
+    roundoff), which callers treat as a stall. The reconstruction loop passes
+    its current ``state`` (rho with its traces, R and objective) so they are
+    not computed again.
     """
-    gain = _GainProfile(_check_dims(rho, dataset), dataset, floor, g)
+    if state is None:
+        state = _step_at(_check_dims(rho, dataset), dataset, floor, g)
+    gain = _GainProfile(state, dataset, floor, g)
     grid = np.geomspace(params.grid_lo, params.grid_hi, params.grid_points)
     values = [gain(float(e)) for e in grid]
     best = int(np.argmax(values))
@@ -405,7 +399,9 @@ def choose_epsilon_line_search(
 # the reconstruction loop
 
 
-def _objective_from_probs(probs: np.ndarray, candidate: np.ndarray, dataset: Dataset, g: GOperator | None) -> float:
+def _objective_from_probs(
+    probs: np.ndarray, candidate: np.ndarray, dataset: MeasurementRecord, g: GOperator | None
+) -> float:
     value = float(dataset.counts @ np.log(probs))
     if g is not None:
         value -= dataset.total * math.log((g.matrix @ candidate).trace().real)
@@ -416,6 +412,7 @@ class _Step(NamedTuple):
     """An iterate with the quantities the next step and the stopping rules need."""
 
     rho: np.ndarray
+    traces: np.ndarray  # tr(Pi_k rho), before the probability floor
     r: np.ndarray
     objective: float
     eps: float = math.nan  # the step size that produced rho
@@ -424,7 +421,16 @@ class _Step(NamedTuple):
     stall: dict | None = None  # set when no trial was accepted; rho is then unchanged
 
 
-def _iterate(dataset: Dataset, strategy: EpsilonStrategy, floor: float, g: GOperator | None, max_iterations: int):
+def _step_at(rho: np.ndarray, dataset: MeasurementRecord, floor: float, g: GOperator | None) -> _Step:
+    """The state rho with its traces, R and objective."""
+    traces = dataset.traces(rho)
+    probs = np.maximum(traces, floor)
+    return _Step(rho, traces, _r_from_probs(dataset, probs), _objective_from_probs(probs, rho, dataset, g))
+
+
+def _iterate(
+    dataset: MeasurementRecord, strategy: EpsilonStrategy, floor: float, g: GOperator | None, max_iterations: int
+):
     """Yield the maximally mixed state, then up to max_iterations accepted iterates.
 
     Each step applies the map for the strategy's eps values in order and
@@ -435,17 +441,16 @@ def _iterate(dataset: Dataset, strategy: EpsilonStrategy, floor: float, g: GOper
     if not hasattr(strategy, "_trial_epsilons"):
         raise ValidationError(f"unknown step-size strategy {strategy!r}")
     trial_epsilons = strategy._trial_epsilons()
-    rho = np.eye(dataset.dim, dtype=np.complex128) / dataset.dim
-    probs = outcome_probabilities(rho, dataset, floor)
-    state = _Step(rho, _r_from_probs(dataset, probs), _objective_from_probs(probs, rho, dataset, g))
+    state = _step_at(np.eye(dataset.dim, dtype=np.complex128) / dataset.dim, dataset, floor, g)
     yield state
     previous = None  # the iterate before state, for cycle detection
     for _ in range(max_iterations):
         b = state.r if g is None else g.inverse @ state.r
         tried, best_delta = [], -math.inf
-        for eps in trial_epsilons(state.rho, dataset, floor, g):
+        for eps in trial_epsilons(state, dataset, floor, g):
             candidate = _apply_map(state.rho, b, eps)
-            probs = np.maximum(_traces(dataset, candidate), floor)
+            traces = dataset.traces(candidate)
+            probs = np.maximum(traces, floor)
             objective = _objective_from_probs(probs, candidate, dataset, g)
             tried.append(eps)
             best_delta = max(best_delta, objective - state.objective)
@@ -458,11 +463,13 @@ def _iterate(dataset: Dataset, strategy: EpsilonStrategy, floor: float, g: GOper
         cycled = previous is not None and change > CYCLE_ATOL and (
             float(np.max(np.abs(candidate - previous))) <= CYCLE_ATOL)
         previous = state.rho
-        state = _Step(candidate, _r_from_probs(dataset, probs), objective, eps, change, cycled)
+        state = _Step(candidate, traces, _r_from_probs(dataset, probs), objective, eps, change, cycled)
         yield state
 
 
-def reconstruct(dataset: Dataset, config: ReconstructionConfig = ReconstructionConfig()) -> ReconstructionResult:
+def reconstruct(
+    dataset: MeasurementRecord, config: ReconstructionConfig = ReconstructionConfig()
+) -> ReconstructionResult:
     """Run the iterative reconstruction from the maximally mixed state.
 
     The initial state 1/dim gives every outcome a nonzero probability. Each

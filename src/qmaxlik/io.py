@@ -2,8 +2,8 @@
 
 Counted datasets are JSON objects ``{dim, elements: [{re, im, count}, ...]}``
 with re/im as dim x dim row-major arrays. Quadrature records are CSV files
-with header ``theta,x`` and one sample per row, converted to per-sample
-projectors at load time (the truncation dimension comes from the caller).
+with header ``theta,x`` and one sample per row, loaded as a factored
+``QuadratureDataset`` (the truncation dimension comes from the caller).
 Floats are written with 17 significant digits so a load/store round trip is
 lossless.
 """
@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, MeasurementRecord
 from .engine import ReconstructionResult
 from .errors import DataFormatError
 from .operators import validate_density
@@ -51,7 +51,7 @@ def _matrix_from_parts(re, im, dim: int, where: str) -> np.ndarray:
 # datasets
 
 
-def parse_dataset(path, dim: int | None = None) -> Dataset:
+def parse_dataset(path, dim: int | None = None) -> MeasurementRecord:
     """Load a dataset file; ``.json`` holds counted elements, ``.csv`` quadrature samples.
 
     For CSV input ``dim`` selects the Fock-space truncation of the per-sample
@@ -103,7 +103,7 @@ def _parse_counts_json(path: Path) -> Dataset:
     return Dataset(elements=elements, counts=counts)
 
 
-def write_counts_dataset(path, dataset: Dataset) -> None:
+def write_counts_dataset(path, dataset: MeasurementRecord) -> None:
     records = []
     for element, count in zip(dataset.elements, dataset.counts):
         re, im = _matrix_parts(element)

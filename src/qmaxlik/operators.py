@@ -46,11 +46,12 @@ def normalize(m, trace_floor: float = 1e-10) -> np.ndarray:
     """Scale a Hermitian matrix to unit trace.
 
     Raises ValidationError when the trace is at or below ``trace_floor``,
-    which would make the scaling meaningless or wildly amplify noise.
+    which would make the scaling meaningless or wildly amplify noise, or is
+    not a number (a non-finite matrix).
     """
     a = as_operator(m)
     tr = a.trace().real
-    if tr <= trace_floor:
+    if not tr > trace_floor:
         raise ValidationError(f"matrix is not normalizable: trace {tr:.3e} <= {trace_floor:.1e}")
     return a / tr
 

@@ -15,7 +15,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, QuadratureDataset
 from .errors import ValidationError
 
 
@@ -92,11 +92,14 @@ def quadrature_projector(sample: QuadratureSample | tuple[float, float], dim: in
     return np.outer(chi, chi.conj())
 
 
-def quadrature_dataset(samples: Iterable[QuadratureSample | tuple[float, float]], dim: int) -> Dataset:
-    """Dataset with one rank-1 element per homodyne sample, each with count 1.
+def quadrature_dataset(
+    samples: Iterable[QuadratureSample | tuple[float, float]], dim: int
+) -> QuadratureDataset:
+    """Record with one rank-1 element per homodyne sample, each with count 1.
 
     The per-sample projectors form an unnormalized continuous POVM; use the
-    plain (uncorrected) iteration on the result.
+    plain (uncorrected) iteration on the result. The elements are stored in
+    factored form (see ``QuadratureDataset``) and kept in sample order.
     """
     arr = np.asarray(list(samples), dtype=np.float64)
     if arr.size == 0:
@@ -106,8 +109,4 @@ def quadrature_dataset(samples: Iterable[QuadratureSample | tuple[float, float]]
     thetas, xs = arr[:, 0], arr[:, 1]
     if not np.all(np.isfinite(arr)):
         raise ValidationError("samples must be finite")
-    psi = wavefunction_table(dim, xs)  # (dim, m)
-    phases = np.exp(1j * np.outer(np.arange(dim), thetas))  # (dim, m)
-    chi = (phases * psi).T  # (m, dim)
-    elements = np.einsum("mi,mj->mij", chi, chi.conj())
-    return Dataset(elements=elements, counts=np.ones(arr.shape[0]), vectors=chi)
+    return QuadratureDataset(psi=wavefunction_table(dim, xs).T, thetas=thetas, counts=np.ones(arr.shape[0]))

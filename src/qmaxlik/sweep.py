@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import MeasurementRecord
 from .engine import (
     DEFAULT_PROBABILITY_FLOOR,
     FixedEpsilon,
@@ -39,7 +39,7 @@ class SweepRow:
 
 
 def reference_solution(
-    dataset: Dataset,
+    dataset: MeasurementRecord,
     max_iterations: int = 20000,
     floor: float = DEFAULT_PROBABILITY_FLOOR,
 ) -> ReconstructionResult:
@@ -62,7 +62,7 @@ def reference_solution(
 
 
 def sweep_iteration_counts(
-    dataset: Dataset,
+    dataset: MeasurementRecord,
     reference: np.ndarray,
     epsilons,
     tolerances,
@@ -113,7 +113,7 @@ def sweep_iteration_counts(
 
 
 def run_sweep(
-    dataset: Dataset,
+    dataset: MeasurementRecord,
     epsilons,
     tolerances,
     max_iterations: int = 20000,

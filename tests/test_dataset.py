@@ -1,8 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qmaxlik import Dataset, GOperator, ValidationError, counterexample_dataset
-from support import random_dataset
+from qmaxlik import (
+    Dataset,
+    GOperator,
+    QuadratureDataset,
+    QuadratureSample,
+    ValidationError,
+    counterexample_dataset,
+    outcome_probabilities,
+    quadrature_dataset,
+    quadrature_projector,
+    r_operator,
+)
+from qmaxlik.dataset import POOLED_BELOW
+from qmaxlik.povm import wavefunction_table
+from support import random_dataset, random_density
 
 
 class TestDataset:
@@ -42,10 +57,6 @@ class TestDataset:
         with pytest.raises(ValidationError):
             Dataset(elements=np.eye(2, dtype=complex)[None], counts=np.array([1.0, 2.0]))
 
-    def test_rejects_inconsistent_vectors(self):
-        eye = np.eye(2, dtype=complex)
-        with pytest.raises(ValidationError, match="outer product"):
-            Dataset(elements=np.stack([eye / 2]), counts=np.array([1.0]), vectors=np.array([[1.0, 0.0]]))
 
 
 class TestGOperator:
@@ -74,3 +85,101 @@ class TestGOperator:
         d = Dataset(elements=el[None], counts=np.array([3.0]))
         with pytest.raises(ValidationError, match="singular"):
             GOperator.from_dataset(d)
+
+
+def _record(rng, thetas, dim):
+    """Quadrature record on the given phases (input order kept) with random x and counts."""
+    thetas = np.asarray(thetas, dtype=float)
+    xs = rng.uniform(-4.0, 4.0, size=thetas.size)
+    counts = rng.uniform(0.5, 3.0, size=thetas.size)
+    return QuadratureDataset(psi=wavefunction_table(dim, xs).T, thetas=thetas, counts=counts), xs
+
+
+def _dense(record, xs):
+    """The same record as an explicit element stack, one projector per sample."""
+    stack = [quadrature_projector(QuadratureSample(t, x), record.dim) for t, x in zip(record.thetas, xs)]
+    return Dataset(elements=np.stack(stack), counts=record.counts)
+
+
+def _layouts(rng):
+    """Four records: few phases (grouped only), all-distinct phases (pooled only), a mix, one sample."""
+    few = np.repeat([0.0, 0.7, 2.1], POOLED_BELOW + 10)
+    mix = np.concatenate([np.repeat([0.4, 1.9], POOLED_BELOW + 3), np.full(POOLED_BELOW - 1, 1.1),
+                          rng.uniform(0.0, np.pi, 25)])
+    layouts = {"few": few, "distinct": rng.uniform(0.0, np.pi, 150), "mix": mix, "single": [0.8]}
+    return {name: rng.permutation(thetas) for name, thetas in layouts.items()}
+
+
+class TestQuadratureDataset:
+    @pytest.mark.parametrize("layout", ["few", "distinct", "mix", "single"])
+    def test_kernels_match_element_stack(self, layout):
+        rng = np.random.default_rng(11)
+        record, xs = _record(rng, _layouts(rng)[layout], 5)
+        dense = _dense(record, xs)
+        grouped, pooled = len(record._blocks) > 0, len(record._chi) > 0
+        assert (grouped, pooled) == {"few": (True, False), "distinct": (False, True),
+                                     "mix": (True, True), "single": (False, True)}[layout]
+        rho = random_density(rng, 5)
+        weights = rng.uniform(0.0, 2.0, size=record.n_outcomes)
+        assert np.max(np.abs(record.traces(rho) - dense.traces(rho))) <= 1e-12
+        assert np.max(np.abs(record.weighted_sum(weights) - dense.weighted_sum(weights))) <= 1e-12
+        assert np.max(np.abs(record.element_sum() - dense.element_sum())) <= 1e-12
+        assert np.max(np.abs(r_operator(rho, record) - r_operator(rho, dense))) <= 1e-12
+        assert np.max(np.abs(record.elements - dense.elements)) <= 1e-12
+        if layout == "single":  # one rank-1 element: G cannot be inverted
+            with pytest.raises(ValidationError, match="singular"):
+                GOperator.from_dataset(record)
+        else:
+            g, g_dense = GOperator.from_dataset(record), GOperator.from_dataset(dense)
+            assert np.max(np.abs(g.matrix - g_dense.matrix)) <= 1e-12
+            assert np.max(np.abs(g.inverse - g_dense.inverse)) <= 1e-12 * g.condition
+
+    def test_outcome_order_follows_input(self):
+        rng = np.random.default_rng(12)
+        thetas = _layouts(rng)["mix"]
+        samples = [QuadratureSample(t, x) for t, x in zip(thetas, rng.normal(size=thetas.size))]
+        rho = random_density(rng, 4)
+        d = quadrature_dataset(samples, 4)
+        expected = [(quadrature_projector(s, 4) @ rho).trace().real for s in samples]
+        np.testing.assert_allclose(outcome_probabilities(rho, d), expected, rtol=0, atol=1e-13)
+        perm = rng.permutation(len(samples))
+        shuffled = quadrature_dataset([samples[k] for k in perm], 4)
+        np.testing.assert_allclose(outcome_probabilities(rho, shuffled), np.asarray(expected)[perm],
+                                   rtol=0, atol=1e-13)
+        np.testing.assert_allclose(shuffled.elements[3], quadrature_projector(samples[perm[3]], 4), atol=1e-14)
+
+    @pytest.mark.parametrize("layout", ["few", "distinct", "mix", "single"])
+    def test_memory_is_linear_in_samples(self, layout):
+        rng = np.random.default_rng(13)
+        record, _ = _record(rng, _layouts(rng)[layout], 15)
+        m, d = record.n_outcomes, record.dim
+        arrays = []
+        for value in vars(record).values():
+            arrays += value if isinstance(value, list) else [value]
+        assert all(a.size < m * d * d for a in arrays if isinstance(a, np.ndarray))
+
+    def test_rejects_inconsistent_phases(self):
+        with pytest.raises(ValidationError, match="does not match"):
+            QuadratureDataset(psi=np.array([[1.0, 0.0]]), thetas=np.array([0.0, 1.0]), counts=np.array([1.0]))
+
+    def test_rejects_complex_or_nonfinite_table(self):
+        with pytest.raises(ValidationError, match="real"):
+            QuadratureDataset(psi=np.array([[1.0, 1j]]), thetas=np.array([0.0]), counts=np.array([1.0]))
+        with pytest.raises(ValidationError, match="finite"):
+            QuadratureDataset(psi=np.array([[1.0, np.nan]]), thetas=np.array([0.0]), counts=np.array([1.0]))
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        dim=st.integers(1, 8),
+        phases=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=4),
+        repeats=st.integers(1, 2 * POOLED_BELOW),
+        distinct=st.lists(st.floats(-10.0, 10.0), max_size=30),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_r_has_unit_trace_against_rho(self, dim, phases, repeats, distinct, seed):
+        rng = np.random.default_rng(seed)
+        thetas = rng.permutation(np.concatenate([np.repeat(phases, repeats), distinct]))
+        record, _ = _record(rng, thetas, dim)
+        # mixed with the identity so that no probability reaches the floor
+        rho = 0.5 * random_density(rng, dim) + 0.5 * np.eye(dim) / dim
+        assert abs((r_operator(rho, record) @ rho).trace().real - 1.0) <= 1e-10

@@ -119,6 +119,10 @@ class TestSteps:
         with pytest.raises(ValidationError):
             diluted_step(UNIFORM, qubit_record, 0.0)
 
+    def test_non_finite_iterate_raises(self, qubit_record):
+        with pytest.raises(ValidationError, match="not normalizable"):
+            diluted_step(np.full((2, 2), np.nan), qubit_record, 1.0)
+
 
 class TestExtremalResidual:
     def test_zero_at_maximum(self, qubit_record):
@@ -214,6 +218,29 @@ class TestLineSearch:
         stepped = diluted_step(UNIFORM, qubit_record, eps)
         actual = log_likelihood(stepped, qubit_record) - log_likelihood(UNIFORM, qubit_record)
         assert gain == pytest.approx(actual, abs=1e-12)
+
+    def test_step_reuses_the_current_state(self):
+        calls = {"traces": 0, "weighted_sum": 0}
+
+        class Counted(Dataset):
+            def traces(self, matrix):
+                calls["traces"] += 1
+                return super().traces(matrix)
+
+            def weighted_sum(self, weights):
+                calls["weighted_sum"] += 1
+                return super().weighted_sum(weights)
+
+        d = random_dataset(np.random.default_rng(5), 3)
+        config = ReconstructionConfig(strategy=LineSearchEpsilon(), max_iterations=6, tol_residual=1e-300,
+                                      tol_element=1e-300, tol_loglik=1e-300)
+        result = reconstruct(Counted(elements=d.elements, counts=d.counts), config)
+        assert result.iterations == 6
+        # the start state, then per step the two gain-profile traces, the candidate's traces and its R
+        assert calls == {"traces": 1 + 3 * 6, "weighted_sum": 1 + 6}
+        plain = reconstruct(d, config)
+        np.testing.assert_array_equal(result.estimate, plain.estimate)
+        np.testing.assert_array_equal(result.epsilon_trace, plain.epsilon_trace)
 
 
 @pytest.mark.parametrize("value", [math.nan, 0.0, -1e-8])

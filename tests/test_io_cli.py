@@ -285,6 +285,17 @@ class TestCliSweep:
         assert warm.read_bytes() == cold.read_bytes()
         assert cached.read_bytes() == intact
 
+    def test_cache_entry_of_other_max_iters_is_a_miss(self, tmp_path, counterexample_json):
+        cache = tmp_path / "cache"
+        args = ["sweep", str(counterexample_json), "--epsilons", "1", "--tolerances", "1e-4",
+                "--cache-dir", str(cache), "--out", str(tmp_path / "sweep.csv")]
+        assert main(args + ["--max-iters", "300"]) == 0
+        (first,) = cache.glob("reference-*.json")
+        stamp = first.stat().st_mtime_ns
+        assert main(args + ["--max-iters", "400"]) == 0
+        assert len(list(cache.glob("reference-*.json"))) == 2  # solved again, under its own key
+        assert first.stat().st_mtime_ns == stamp
+
     def test_reference_cache_reused(self, tmp_path, counterexample_json):
         out = tmp_path / "sweep.csv"
         cache = tmp_path / "cache"

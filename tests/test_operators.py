@@ -64,6 +64,10 @@ class TestNormalize:
         with pytest.raises(ValidationError):
             normalize(np.diag([1e-11, -1e-11]))
 
+    def test_rejects_nan_trace(self):
+        with pytest.raises(ValidationError, match="not normalizable"):
+            normalize(np.full((2, 2), np.nan))
+
 
 class TestValidateDensity:
     def test_accepts_uniform(self):
