@@ -29,7 +29,7 @@ from .engine import (
     reconstruct,
     rhor_step,
 )
-from .errors import DataFormatError, ValidationError
+from .errors import ConvergenceError, DataFormatError, ValidationError
 from .operators import (
     eigendecompose,
     fidelity,
@@ -53,6 +53,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdaptiveBackoff",
+    "ConvergenceError",
     "DataFormatError",
     "Dataset",
     "EpsilonStrategy",

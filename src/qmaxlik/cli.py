@@ -19,7 +19,7 @@ import numpy as np
 
 from . import io
 from .engine import (
-    DEFAULT_PROBABILITY_FLOOR,
+    PROBABILITY_FLOOR,
     AdaptiveBackoff,
     FixedEpsilon,
     InfiniteRhoR,
@@ -29,7 +29,7 @@ from .engine import (
     Termination,
     reconstruct,
 )
-from .errors import DataFormatError, ValidationError
+from .errors import ConvergenceError, DataFormatError, ValidationError
 from .povm import projector_from_state
 from .simulate import RNG_ALGORITHM, SimulationSpec, preset_state, sample_counts, sample_quadratures
 from .sweep import REFERENCE_TOLERANCE, reference_solution, sweep_iteration_counts
@@ -78,11 +78,8 @@ def _build_config(args) -> ReconstructionConfig:
     )
 
 
-def _config_echo(args, extra: dict | None = None) -> dict:
-    echo = {k: v for k, v in vars(args).items() if k not in ("func",)}
-    if extra:
-        echo.update(extra)
-    return echo
+def _config_echo(args) -> dict:
+    return {k: v for k, v in vars(args).items() if k != "func"}
 
 
 def cmd_reconstruct(args) -> int:
@@ -138,11 +135,9 @@ def _parse_float_list(text: str, allow_inf: bool) -> list[float]:
     return values
 
 
-def _cached_reference(dataset_path: Path, dim, max_iters: int, cache_dir: Path | None):
+def _cached_reference(dataset_path: Path, dim, max_iters: int, cache_dir: Path):
     """The cached reference solution for this input and solve, if any, and its cache file."""
-    if cache_dir is None:
-        return None, None
-    key = (f"|dim={dim}|max_iters={max_iters}|floor={DEFAULT_PROBABILITY_FLOOR!r}"
+    key = (f"|dim={dim}|max_iters={max_iters}|floor={PROBABILITY_FLOOR!r}"
            f"|tolerance={REFERENCE_TOLERANCE!r}|format={REFERENCE_CACHE_FORMAT}")
     digest = hashlib.sha256(dataset_path.read_bytes() + key.encode()).hexdigest()
     cache_file = cache_dir / f"reference-{digest[:24]}.json"
@@ -161,19 +156,18 @@ def cmd_sweep(args) -> int:
     tolerances = _parse_float_list(args.tolerances, allow_inf=False)
     out = Path(args.out)
     cache_dir = Path(args.cache_dir) if args.cache_dir else out.parent / ".sweep-cache"
-    cache_dir.mkdir(parents=True, exist_ok=True)
 
     start = time.perf_counter()
     reference, cache_file = _cached_reference(dataset_path, args.dim, args.max_iters, cache_dir)
     if reference is None:
         try:
             ref_result = reference_solution(dataset, max_iterations=args.max_iters)
-        except ValidationError as exc:
+        except ConvergenceError as exc:
             print(f"sweep aborted: {exc}", file=sys.stderr)
             return EXIT_NO_CONVERGENCE
         reference = ref_result.estimate
-        if cache_file is not None:
-            io.write_result_json(cache_file, ref_result)
+        cache_dir.mkdir(parents=True, exist_ok=True)  # only now: a rejected flag leaves no directory
+        io.write_result_json(cache_file, ref_result)
     rows = sweep_iteration_counts(
         dataset, reference, epsilons, tolerances, max_iterations=args.max_iters
     )
@@ -186,7 +180,7 @@ def cmd_sweep(args) -> int:
         output_paths=[str(out)],
         config=_config_echo(args),
         wall_seconds_total=elapsed,
-        extra={"rows": len(rows), "reference_cache": str(cache_file) if cache_file else None},
+        extra={"rows": len(rows), "reference_cache": str(cache_file)},
     )
     manifest.write(_manifest_path(out))
 
@@ -208,6 +202,8 @@ def cmd_simulate(args) -> int:
 
     start = time.perf_counter()
     if args.format == "quadrature":
+        if args.phases < 1:
+            raise ValidationError("--phases must be at least 1")
         phases = np.linspace(0.0, np.pi, args.phases, endpoint=False)
         samples = sample_quadratures(spec, phases, dim)
         io.write_quadrature_csv(out, samples)

@@ -15,6 +15,7 @@ from .errors import ValidationError
 from .operators import HERMITICITY_ATOL, PSD_ATOL, eigendecompose, hermitize
 
 G_INVERSE_ATOL = 1e-8
+G_CONDITION_LIMIT = 1e12  # GOperator.from_dataset refuses a worse-conditioned element sum
 
 
 def _checked_counts(counts, n_outcomes: int) -> np.ndarray:
@@ -207,11 +208,11 @@ class GOperator:
     condition: float = field(default=1.0)
 
     @classmethod
-    def from_dataset(cls, dataset: MeasurementRecord, condition_limit: float = 1e12) -> "GOperator":
+    def from_dataset(cls, dataset: MeasurementRecord) -> "GOperator":
         matrix = hermitize(dataset.element_sum())
         values, vectors = eigendecompose(matrix)
         lo, hi = values[-1], values[0]
-        if lo <= 0.0 or hi / lo > condition_limit:
+        if lo <= 0.0 or hi / lo > G_CONDITION_LIMIT:
             raise ValidationError(
                 f"element sum is singular or ill-conditioned (eigenvalues in [{lo:.3e}, {hi:.3e}])"
             )

@@ -32,9 +32,13 @@ from .dataset import GOperator, MeasurementRecord
 from .errors import ValidationError
 from .operators import hermitize, normalize
 
-DEFAULT_PROBABILITY_FLOOR = 1e-12
+PROBABILITY_FLOOR = 1e-12  # every probability tr(Pi_j rho) is raised to at least this
 CYCLE_ATOL = 1e-10
 
+# The line search scans this logarithmic eps grid, then refines around the best
+# grid point by golden-section steps in log(eps).
+LINE_SEARCH_GRID = np.geomspace(1e-3, 1e3, 25)
+GOLDEN_STEPS = 20
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -45,8 +49,8 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 class _Strategy:
     """A strategy is the eps values each step tries, and whether a trial must raise the objective.
 
-    ``_trial_epsilons()`` is called once per run and returns a function of the
-    current (state, dataset, floor, g) giving the eps values to try, in order.
+    ``_trial_epsilons(dataset, g)`` is called once per run and returns a
+    function of the current state giving the eps values to try, in order.
     Monotone strategies name a ``_stall_reason``, reported when no trial helps.
     """
 
@@ -60,8 +64,8 @@ class _Strategy:
 class InfiniteRhoR(_Strategy):
     """Plain quadratic update every step; fastest, but monotonicity is not guaranteed."""
 
-    def _trial_epsilons(self):
-        return lambda state, dataset, floor, g: (math.inf,)
+    def _trial_epsilons(self, dataset, g):
+        return lambda state: (math.inf,)
 
 
 @dataclass(frozen=True)
@@ -74,32 +78,26 @@ class FixedEpsilon(_Strategy):
         if not self.epsilon > 0:
             raise ValidationError("epsilon must be positive")
 
-    def _trial_epsilons(self):
-        return lambda state, dataset, floor, g: (self.epsilon,)
+    def _trial_epsilons(self, dataset, g):
+        return lambda state: (self.epsilon,)
 
 
 @dataclass(frozen=True)
 class AdaptiveBackoff(_Strategy):
     """Try the quadratic update first; on a likelihood non-increase retry with
-    eps = epsilon0, epsilon0*shrink, ... until some step raises the likelihood."""
+    eps = 1, 1/2, 1/4, ... (max_retries values) until some step raises the likelihood."""
 
-    epsilon0: float = 1.0
-    shrink: float = 0.5
     max_retries: int = 60
 
     _stall_reason = "no step-size trial increased the likelihood"
 
     def __post_init__(self):
-        if not self.epsilon0 > 0:
-            raise ValidationError("epsilon0 must be positive")
-        if not 0.0 < self.shrink < 1.0:
-            raise ValidationError("shrink factor must lie strictly in (0, 1)")
         if self.max_retries < 1:
             raise ValidationError("max_retries must be at least 1")
 
-    def _trial_epsilons(self):
-        trials = [math.inf] + [self.epsilon0 * self.shrink**k for k in range(self.max_retries)]
-        return lambda state, dataset, floor, g: trials
+    def _trial_epsilons(self, dataset, g):
+        trials = [math.inf] + [0.5**k for k in range(self.max_retries)]
+        return lambda state: trials
 
     def _stall_diagnostics(self, tried: list[float], best_delta: float) -> dict:
         return {**super()._stall_diagnostics(tried, best_delta), "smallest_epsilon": tried[-1]}
@@ -107,26 +105,10 @@ class AdaptiveBackoff(_Strategy):
 
 @dataclass(frozen=True)
 class LineSearchEpsilon(_Strategy):
-    """Maximize the actual likelihood gain over eps at every step.
+    """Maximize the actual likelihood gain over eps at every step (see ``choose_epsilon_line_search``)."""
 
-    A logarithmic grid scan over [grid_lo, grid_hi] followed by golden-section
-    refinement around the best grid point.
-    """
-
-    grid_lo: float = 1e-3
-    grid_hi: float = 1e3
-    grid_points: int = 25
-    refinements: int = 20
-
-    def __post_init__(self):
-        if not 0 < self.grid_lo < self.grid_hi:
-            raise ValidationError("need 0 < grid_lo < grid_hi")
-        if self.grid_points < 2 or self.refinements < 0:
-            raise ValidationError("grid_points must be >= 2 and refinements >= 0")
-
-    def _trial_epsilons(self):
-        return lambda state, dataset, floor, g: (
-            choose_epsilon_line_search(state.rho, dataset, self, floor, g, state=state)[0],)
+    def _trial_epsilons(self, dataset, g):
+        return lambda state: (choose_epsilon_line_search(state.rho, dataset, g, state=state)[0],)
 
 
 @dataclass(frozen=True)
@@ -146,10 +128,10 @@ class RandomEpsilon(_Strategy):
         if self.max_retries < 1:
             raise ValidationError("max_retries must be at least 1")
 
-    def _trial_epsilons(self):
+    def _trial_epsilons(self, dataset, g):
         rng = np.random.default_rng(self.seed)  # one stream per run, drawn only as trials are tried
 
-        def draws(state, dataset, floor, g):
+        def draws(state):
             for _ in range(self.max_retries):
                 yield math.exp(rng.uniform(math.log(1e-4), math.log(self.epsilon_max)))
 
@@ -175,15 +157,12 @@ class ReconstructionConfig:
     tol_loglik: float = 1e-13
     max_iterations: int = 5000
     g_correction: bool = False
-    probability_floor: float = DEFAULT_PROBABILITY_FLOOR
 
     def __post_init__(self):
         if not (self.tol_residual > 0 and self.tol_element > 0 and self.tol_loglik > 0):
             raise ValidationError("stopping tolerances must be positive")
         if self.max_iterations < 1:
             raise ValidationError("max_iterations must be at least 1")
-        if not self.probability_floor > 0:
-            raise ValidationError("probability floor must be positive")
 
 
 @dataclass(frozen=True)
@@ -217,22 +196,22 @@ def _check_dims(rho: np.ndarray, dataset: MeasurementRecord) -> np.ndarray:
     return rho
 
 
-def outcome_probabilities(rho, dataset: MeasurementRecord, floor: float = DEFAULT_PROBABILITY_FLOOR) -> np.ndarray:
-    """Per-outcome probabilities tr(Pi_j rho), floored away from zero."""
+def outcome_probabilities(rho, dataset: MeasurementRecord) -> np.ndarray:
+    """Per-outcome probabilities tr(Pi_j rho), raised to at least PROBABILITY_FLOOR."""
     rho = _check_dims(rho, dataset)
-    return np.maximum(dataset.traces(rho), floor)
+    return np.maximum(dataset.traces(rho), PROBABILITY_FLOOR)
 
 
-def log_likelihood(rho, dataset: MeasurementRecord, floor: float = DEFAULT_PROBABILITY_FLOOR) -> float:
+def log_likelihood(rho, dataset: MeasurementRecord) -> float:
     """sum_j f_j log pr_j with floored probabilities."""
-    pr = outcome_probabilities(rho, dataset, floor)
+    pr = outcome_probabilities(rho, dataset)
     return float(dataset.counts @ np.log(pr))
 
 
-def r_operator(rho, dataset: MeasurementRecord, floor: float = DEFAULT_PROBABILITY_FLOOR) -> np.ndarray:
+def r_operator(rho, dataset: MeasurementRecord) -> np.ndarray:
     """(1/N) sum_j (f_j / pr_j) Pi_j for the current state; Hermitian PSD."""
     rho = _check_dims(rho, dataset)
-    return _r_from_probs(dataset, outcome_probabilities(rho, dataset, floor))
+    return _r_from_probs(dataset, outcome_probabilities(rho, dataset))
 
 
 def _r_from_probs(dataset: MeasurementRecord, probs: np.ndarray) -> np.ndarray:
@@ -248,27 +227,21 @@ def _apply_map(rho: np.ndarray, b: np.ndarray, eps: float) -> np.ndarray:
     return normalize(hermitize(m @ rho @ m.conj().T))
 
 
-def rhor_step(rho, dataset: MeasurementRecord, floor: float = DEFAULT_PROBABILITY_FLOOR) -> np.ndarray:
+def rhor_step(rho, dataset: MeasurementRecord) -> np.ndarray:
     """One plain quadratic update: normalize(R rho R)."""
     rho = _check_dims(rho, dataset)
-    return _apply_map(rho, r_operator(rho, dataset, floor), math.inf)
+    return _apply_map(rho, r_operator(rho, dataset), math.inf)
 
 
-def diluted_step(rho, dataset: MeasurementRecord, eps: float, floor: float = DEFAULT_PROBABILITY_FLOOR) -> np.ndarray:
+def diluted_step(rho, dataset: MeasurementRecord, eps: float) -> np.ndarray:
     """One diluted update with blending weight ``eps`` (eps = inf reproduces rhor_step)."""
     if not eps > 0:
         raise ValidationError("eps must be positive")
     rho = _check_dims(rho, dataset)
-    return _apply_map(rho, r_operator(rho, dataset, floor), eps)
+    return _apply_map(rho, r_operator(rho, dataset), eps)
 
 
-def g_corrected_step(
-    rho,
-    dataset: MeasurementRecord,
-    g: GOperator,
-    eps: float,
-    floor: float = DEFAULT_PROBABILITY_FLOOR,
-) -> np.ndarray:
+def g_corrected_step(rho, dataset: MeasurementRecord, g: GOperator, eps: float) -> np.ndarray:
     """One debiased update blending G^-1 R with the identity.
 
     normalize(M rho M^dag) with M = (1 + eps G^-1 R)/(1 + eps); at eps = inf
@@ -279,14 +252,18 @@ def g_corrected_step(
     if not eps > 0:
         raise ValidationError("eps must be positive")
     rho = _check_dims(rho, dataset)
-    b = g.inverse @ r_operator(rho, dataset, floor)
-    return _apply_map(rho, b, eps)
+    return _apply_map(rho, _direction(r_operator(rho, dataset), g), eps)
 
 
-def extremal_residual(rho, dataset: MeasurementRecord, floor: float = DEFAULT_PROBABILITY_FLOOR) -> float:
+def _direction(r: np.ndarray, g: GOperator | None) -> np.ndarray:
+    """The operator B the map blends with the identity: R, or G^-1 R with G-correction."""
+    return r if g is None else g.inverse @ r
+
+
+def extremal_residual(rho, dataset: MeasurementRecord) -> float:
     """Frobenius norm of R rho - rho; zero exactly at the maximum-likelihood state."""
     rho = _check_dims(rho, dataset)
-    return _residual(rho, r_operator(rho, dataset, floor), None)
+    return _residual(rho, r_operator(rho, dataset), None)
 
 
 def _residual(rho: np.ndarray, r: np.ndarray, g: GOperator | None) -> float:
@@ -297,9 +274,7 @@ def _residual(rho: np.ndarray, r: np.ndarray, g: GOperator | None) -> float:
     return float(np.linalg.norm(tau * (g.inverse @ (r @ rho)) - rho))
 
 
-def likelihood_gain_first_order(
-    rho, dataset: MeasurementRecord, eps: float, floor: float = DEFAULT_PROBABILITY_FLOOR
-) -> float:
+def likelihood_gain_first_order(rho, dataset: MeasurementRecord, eps: float) -> float:
     """First-order likelihood gain 2*eps*(tr(R rho R) - 1) of a diluted step.
 
     Non-negative for every state by the Cauchy-Schwarz inequality, and zero
@@ -308,7 +283,7 @@ def likelihood_gain_first_order(
     raw log-likelihood changes N times faster.
     """
     rho = _check_dims(rho, dataset)
-    r = r_operator(rho, dataset, floor)
+    r = r_operator(rho, dataset)
     return 2.0 * eps * float((r @ rho @ r).trace().real - 1.0)
 
 
@@ -324,11 +299,9 @@ class _GainProfile:
     gain at a new eps costs O(n_outcomes) instead of a fresh matrix sandwich.
     """
 
-    def __init__(self, state: _Step, dataset: MeasurementRecord, floor: float, g: GOperator | None):
+    def __init__(self, state: _Step, dataset: MeasurementRecord, g: GOperator | None):
         self.dataset = dataset
-        self.floor = floor
-        rho = state.rho
-        b = state.r if g is None else g.inverse @ state.r
+        rho, b = state.rho, state.b
         t1 = b @ rho + rho @ b.conj().T
         t2 = b @ rho @ b.conj().T
         self._p0 = state.traces
@@ -341,7 +314,7 @@ class _GainProfile:
     def __call__(self, eps: float) -> float:
         coeff = np.array([1.0, eps, eps * eps])
         scale = float(self._s @ coeff)
-        pr = np.maximum((self._p0 + eps * self._p1 + eps * eps * self._p2) / scale, self.floor)
+        pr = np.maximum((self._p0 + eps * self._p1 + eps * eps * self._p2) / scale, PROBABILITY_FLOOR)
         value = float(self.dataset.counts @ np.log(pr))
         if self._gamma is not None:
             value -= self.dataset.total * math.log(float(self._gamma @ coeff) / scale)
@@ -349,49 +322,42 @@ class _GainProfile:
 
 
 def choose_epsilon_line_search(
-    rho,
-    dataset: MeasurementRecord,
-    params: LineSearchEpsilon = LineSearchEpsilon(),
-    floor: float = DEFAULT_PROBABILITY_FLOOR,
-    g: GOperator | None = None,
-    *,
-    state: _Step | None = None,
+    rho, dataset: MeasurementRecord, g: GOperator | None = None, *, state: _Step | None = None
 ) -> tuple[float, float]:
     """Step size maximizing the actual likelihood gain, and that gain.
 
-    Scans a logarithmic grid over [grid_lo, grid_hi], then refines around the
-    best grid point by golden section in log(eps). Away from the maximum the
+    Scans LINE_SEARCH_GRID, then refines around the best grid point by
+    GOLDEN_STEPS golden-section steps in log(eps). Away from the maximum the
     returned gain is positive; at the maximum it collapses to zero (up to
     roundoff), which callers treat as a stall. The reconstruction loop passes
-    its current ``state`` (rho with its traces, R and objective) so they are
-    not computed again.
+    its current ``state`` (rho with its traces, R, direction and objective) so
+    they are not computed again.
     """
     if state is None:
-        state = _step_at(_check_dims(rho, dataset), dataset, floor, g)
-    gain = _GainProfile(state, dataset, floor, g)
-    grid = np.geomspace(params.grid_lo, params.grid_hi, params.grid_points)
+        state = _step_at(_check_dims(rho, dataset), dataset, g)
+    gain = _GainProfile(state, dataset, g)
+    grid = LINE_SEARCH_GRID
     values = [gain(float(e)) for e in grid]
     best = int(np.argmax(values))
     best_eps, best_gain = float(grid[best]), float(values[best])
 
-    if params.refinements > 0:
-        lo = math.log(grid[max(best - 1, 0)])
-        hi = math.log(grid[min(best + 1, len(grid) - 1)])
-        x1 = hi - _GOLDEN * (hi - lo)
-        x2 = lo + _GOLDEN * (hi - lo)
-        f1, f2 = gain(math.exp(x1)), gain(math.exp(x2))
-        for _ in range(params.refinements):
-            if f1 >= f2:
-                hi, x2, f2 = x2, x1, f1
-                x1 = hi - _GOLDEN * (hi - lo)
-                f1 = gain(math.exp(x1))
-            else:
-                lo, x1, f1 = x1, x2, f2
-                x2 = lo + _GOLDEN * (hi - lo)
-                f2 = gain(math.exp(x2))
-            x, f = (x1, f1) if f1 >= f2 else (x2, f2)
-            if f > best_gain:
-                best_eps, best_gain = math.exp(x), f
+    lo = math.log(grid[max(best - 1, 0)])
+    hi = math.log(grid[min(best + 1, len(grid) - 1)])
+    x1 = hi - _GOLDEN * (hi - lo)
+    x2 = lo + _GOLDEN * (hi - lo)
+    f1, f2 = gain(math.exp(x1)), gain(math.exp(x2))
+    for _ in range(GOLDEN_STEPS):
+        if f1 >= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - _GOLDEN * (hi - lo)
+            f1 = gain(math.exp(x1))
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + _GOLDEN * (hi - lo)
+            f2 = gain(math.exp(x2))
+        x, f = (x1, f1) if f1 >= f2 else (x2, f2)
+        if f > best_gain:
+            best_eps, best_gain = math.exp(x), f
     return best_eps, best_gain
 
 
@@ -414,6 +380,7 @@ class _Step(NamedTuple):
     rho: np.ndarray
     traces: np.ndarray  # tr(Pi_k rho), before the probability floor
     r: np.ndarray
+    b: np.ndarray  # the direction the map blends with the identity, see _direction
     objective: float
     eps: float = math.nan  # the step size that produced rho
     change: float = math.inf  # max |rho - previous iterate|
@@ -421,16 +388,15 @@ class _Step(NamedTuple):
     stall: dict | None = None  # set when no trial was accepted; rho is then unchanged
 
 
-def _step_at(rho: np.ndarray, dataset: MeasurementRecord, floor: float, g: GOperator | None) -> _Step:
-    """The state rho with its traces, R and objective."""
+def _step_at(rho: np.ndarray, dataset: MeasurementRecord, g: GOperator | None) -> _Step:
+    """The state rho with its traces, R, direction and objective."""
     traces = dataset.traces(rho)
-    probs = np.maximum(traces, floor)
-    return _Step(rho, traces, _r_from_probs(dataset, probs), _objective_from_probs(probs, rho, dataset, g))
+    probs = np.maximum(traces, PROBABILITY_FLOOR)
+    r = _r_from_probs(dataset, probs)
+    return _Step(rho, traces, r, _direction(r, g), _objective_from_probs(probs, rho, dataset, g))
 
 
-def _iterate(
-    dataset: MeasurementRecord, strategy: EpsilonStrategy, floor: float, g: GOperator | None, max_iterations: int
-):
+def _iterate(dataset: MeasurementRecord, strategy: EpsilonStrategy, g: GOperator | None, max_iterations: int):
     """Yield the maximally mixed state, then up to max_iterations accepted iterates.
 
     Each step applies the map for the strategy's eps values in order and
@@ -440,17 +406,16 @@ def _iterate(
     """
     if not hasattr(strategy, "_trial_epsilons"):
         raise ValidationError(f"unknown step-size strategy {strategy!r}")
-    trial_epsilons = strategy._trial_epsilons()
-    state = _step_at(np.eye(dataset.dim, dtype=np.complex128) / dataset.dim, dataset, floor, g)
+    trial_epsilons = strategy._trial_epsilons(dataset, g)
+    state = _step_at(np.eye(dataset.dim, dtype=np.complex128) / dataset.dim, dataset, g)
     yield state
     previous = None  # the iterate before state, for cycle detection
     for _ in range(max_iterations):
-        b = state.r if g is None else g.inverse @ state.r
         tried, best_delta = [], -math.inf
-        for eps in trial_epsilons(state, dataset, floor, g):
-            candidate = _apply_map(state.rho, b, eps)
+        for eps in trial_epsilons(state):
+            candidate = _apply_map(state.rho, state.b, eps)
             traces = dataset.traces(candidate)
-            probs = np.maximum(traces, floor)
+            probs = np.maximum(traces, PROBABILITY_FLOOR)
             objective = _objective_from_probs(probs, candidate, dataset, g)
             tried.append(eps)
             best_delta = max(best_delta, objective - state.objective)
@@ -463,7 +428,8 @@ def _iterate(
         cycled = previous is not None and change > CYCLE_ATOL and (
             float(np.max(np.abs(candidate - previous))) <= CYCLE_ATOL)
         previous = state.rho
-        state = _Step(candidate, traces, _r_from_probs(dataset, probs), objective, eps, change, cycled)
+        r = _r_from_probs(dataset, probs)
+        state = _Step(candidate, traces, r, _direction(r, g), objective, eps, change, cycled)
         yield state
 
 
@@ -485,7 +451,7 @@ def reconstruct(
     termination = Termination.MAX_ITERATIONS
     diagnostics: dict = {}
 
-    for state in _iterate(dataset, config.strategy, config.probability_floor, g, config.max_iterations):
+    for state in _iterate(dataset, config.strategy, g, config.max_iterations):
         if state.stall is not None:
             termination, diagnostics = Termination.LIKELIHOOD_STALLED, state.stall
             break

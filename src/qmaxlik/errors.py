@@ -7,3 +7,7 @@ class DataFormatError(ValueError):
 
 class ValidationError(ValueError):
     """A parsed object violates a physical invariant (trace, positivity, ...)."""
+
+
+class ConvergenceError(ValidationError):
+    """An iteration that had to converge stopped without converging."""

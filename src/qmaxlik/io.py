@@ -5,7 +5,9 @@ with re/im as dim x dim row-major arrays. Quadrature records are CSV files
 with header ``theta,x`` and one sample per row, loaded as a factored
 ``QuadratureDataset`` (the truncation dimension comes from the caller).
 Floats are written with 17 significant digits so a load/store round trip is
-lossless.
+lossless. Every writer replaces its target atomically: the text goes to a
+temporary file in the target's directory, which is then renamed over it, so a
+failed write leaves any previous file intact.
 """
 
 from __future__ import annotations
@@ -13,7 +15,9 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 from dataclasses import asdict, dataclass, field
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +28,26 @@ from .errors import DataFormatError
 from .operators import validate_density
 from .povm import QuadratureSample, quadrature_dataset
 from .sweep import SweepRow
+
+
+def _write_atomic(path, text: str) -> None:
+    """Write ``text`` to ``path`` through a temporary file beside it and ``os.replace``."""
+    path = Path(path)
+    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with temp.open("w", newline="") as handle:
+            handle.write(text)
+        os.replace(temp, path)
+    finally:
+        temp.unlink(missing_ok=True)
+
+
+def _csv_text(header: list[str], rows) -> str:
+    buffer = StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue()
 
 
 def _fmt(x: float) -> str:
@@ -109,7 +133,7 @@ def write_counts_dataset(path, dataset: MeasurementRecord) -> None:
         re, im = _matrix_parts(element)
         records.append({"re": re, "im": im, "count": float(count)})
     payload = {"dim": dataset.dim, "elements": records}
-    Path(path).write_text(json.dumps(payload, indent=1) + "\n")
+    _write_atomic(path, json.dumps(payload, indent=1) + "\n")
 
 
 def parse_quadrature_csv(path) -> list[QuadratureSample]:
@@ -138,11 +162,7 @@ def parse_quadrature_csv(path) -> list[QuadratureSample]:
 
 
 def write_quadrature_csv(path, samples) -> None:
-    with Path(path).open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["theta", "x"])
-        for theta, x in samples:
-            writer.writerow([_fmt(theta), _fmt(x)])
+    _write_atomic(path, _csv_text(["theta", "x"], ([_fmt(theta), _fmt(x)] for theta, x in samples)))
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +187,7 @@ def parse_state(path) -> np.ndarray:
 def write_state(path, state: np.ndarray) -> None:
     re, im = _matrix_parts(np.asarray(state, dtype=np.complex128))
     payload = {"dim": int(state.shape[0]), "re": re, "im": im}
-    Path(path).write_text(json.dumps(payload, indent=1) + "\n")
+    _write_atomic(path, json.dumps(payload, indent=1) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +210,7 @@ def write_result_json(path, result: ReconstructionResult) -> None:
         "termination": result.termination.value,
         "diagnostics": result.diagnostics,
     }
-    Path(path).write_text(json.dumps(payload, indent=1) + "\n")
+    _write_atomic(path, json.dumps(payload, indent=1) + "\n")
 
 
 def parse_result_estimate(path) -> np.ndarray:
@@ -204,18 +224,9 @@ def parse_result_estimate(path) -> np.ndarray:
 
 
 def write_sweep_csv(path, rows: list[SweepRow]) -> None:
-    with Path(path).open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["epsilon", "tolerance", "iterations", "converged"])
-        for row in rows:
-            writer.writerow(
-                [
-                    "inf" if math.isinf(row.epsilon) else _fmt(row.epsilon),
-                    _fmt(row.tolerance),
-                    row.iterations,
-                    str(row.converged).lower(),
-                ]
-            )
+    lines = (["inf" if math.isinf(row.epsilon) else _fmt(row.epsilon), _fmt(row.tolerance), row.iterations,
+              str(row.converged).lower()] for row in rows)
+    _write_atomic(path, _csv_text(["epsilon", "tolerance", "iterations", "converged"], lines))
 
 
 @dataclass
@@ -233,4 +244,4 @@ class RunManifest:
     extra: dict = field(default_factory=dict)
 
     def write(self, path) -> None:
-        Path(path).write_text(json.dumps(asdict(self), indent=1, default=str) + "\n")
+        _write_atomic(path, json.dumps(asdict(self), indent=1, default=str) + "\n")

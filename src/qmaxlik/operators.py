@@ -16,6 +16,7 @@ from .errors import ValidationError
 HERMITICITY_ATOL = 1e-12
 TRACE_ATOL = 1e-10
 PSD_ATOL = 1e-8
+TRACE_FLOOR = 1e-10  # normalize refuses a trace at or below this
 
 
 def as_operator(m) -> np.ndarray:
@@ -42,17 +43,17 @@ def is_hermitian(m, atol: float = HERMITICITY_ATOL) -> bool:
     return bool(np.max(np.abs(a - a.conj().T), initial=0.0) <= atol)
 
 
-def normalize(m, trace_floor: float = 1e-10) -> np.ndarray:
+def normalize(m) -> np.ndarray:
     """Scale a Hermitian matrix to unit trace.
 
-    Raises ValidationError when the trace is at or below ``trace_floor``,
+    Raises ValidationError when the trace is at or below TRACE_FLOOR,
     which would make the scaling meaningless or wildly amplify noise, or is
     not a number (a non-finite matrix).
     """
     a = as_operator(m)
     tr = a.trace().real
-    if not tr > trace_floor:
-        raise ValidationError(f"matrix is not normalizable: trace {tr:.3e} <= {trace_floor:.1e}")
+    if not tr > TRACE_FLOOR:
+        raise ValidationError(f"matrix is not normalizable: trace {tr:.3e} <= {TRACE_FLOOR:.1e}")
     return a / tr
 
 

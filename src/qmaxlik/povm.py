@@ -92,6 +92,9 @@ def quadrature_projector(sample: QuadratureSample | tuple[float, float], dim: in
     return np.outer(chi, chi.conj())
 
 
+_PAIR = np.dtype([("theta", np.float64), ("x", np.float64)])
+
+
 def quadrature_dataset(
     samples: Iterable[QuadratureSample | tuple[float, float]], dim: int
 ) -> QuadratureDataset:
@@ -101,11 +104,12 @@ def quadrature_dataset(
     plain (uncorrected) iteration on the result. The elements are stored in
     factored form (see ``QuadratureDataset``) and kept in sample order.
     """
-    arr = np.asarray(list(samples), dtype=np.float64)
+    try:  # one pass into a two-field record array, viewed as (m, 2) floats
+        arr = np.fromiter(map(tuple, samples), dtype=_PAIR).view(np.float64).reshape(-1, 2)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError("samples must be (theta, x) pairs") from exc
     if arr.size == 0:
         raise ValidationError("sample list is empty")
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ValidationError("samples must be (theta, x) pairs")
     thetas, xs = arr[:, 0], arr[:, 1]
     if not np.all(np.isfinite(arr)):
         raise ValidationError("samples must be finite")

@@ -5,7 +5,8 @@ element tolerance), then rerun the diluted iteration from scratch for each eps
 and count steps until every matrix element is within the requested tolerance
 of the reference. Each trajectory is the loop ``reconstruct`` runs under
 ``FixedEpsilon(eps)`` (no G-correction), eps = inf giving the plain quadratic
-update. Every eps and tolerance must be positive; NaN is rejected.
+update. Every eps and tolerance must be positive; NaN is rejected. A reference
+solve that stops without converging raises ``ConvergenceError``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import numpy as np
 
 from .dataset import MeasurementRecord
 from .engine import (
-    DEFAULT_PROBABILITY_FLOOR,
     FixedEpsilon,
     LineSearchEpsilon,
     ReconstructionConfig,
@@ -25,7 +25,7 @@ from .engine import (
     _iterate,
     reconstruct,
 )
-from .errors import ValidationError
+from .errors import ConvergenceError, ValidationError
 
 REFERENCE_TOLERANCE = 1e-10
 
@@ -38,11 +38,7 @@ class SweepRow:
     converged: bool
 
 
-def reference_solution(
-    dataset: MeasurementRecord,
-    max_iterations: int = 20000,
-    floor: float = DEFAULT_PROBABILITY_FLOOR,
-) -> ReconstructionResult:
+def reference_solution(dataset: MeasurementRecord, max_iterations: int = 20000) -> ReconstructionResult:
     """High-accuracy solve used as the comparison point of a sweep."""
     config = ReconstructionConfig(
         strategy=LineSearchEpsilon(),
@@ -50,11 +46,10 @@ def reference_solution(
         tol_element=REFERENCE_TOLERANCE,
         tol_loglik=1e-14,
         max_iterations=max_iterations,
-        probability_floor=floor,
     )
     result = reconstruct(dataset, config)
     if result.termination in (Termination.MAX_ITERATIONS, Termination.CYCLE_DETECTED):
-        raise ValidationError(
+        raise ConvergenceError(
             f"reference solve did not converge ({result.termination.value}, "
             f"residual {result.final_residual:.3e})"
         )
@@ -67,7 +62,6 @@ def sweep_iteration_counts(
     epsilons,
     tolerances,
     max_iterations: int = 20000,
-    floor: float = DEFAULT_PROBABILITY_FLOOR,
 ) -> list[SweepRow]:
     """Iterations until max |rho - reference| falls below each tolerance, per eps.
 
@@ -82,11 +76,13 @@ def sweep_iteration_counts(
         raise ValidationError("need at least one eps and one tolerance")
     if not all(x > 0 for x in eps_list + tol_list):
         raise ValidationError("eps values and tolerances must be positive")
+    if max_iterations < 1:
+        raise ValidationError("max_iterations must be at least 1")
 
     crossings: dict[tuple[float, float], int | None] = {}
     for eps in eps_list:
         remaining = list(tol_list)  # ascending: loosest at the end, popped first
-        steps = _iterate(dataset, FixedEpsilon(eps), floor, None, max_iterations)
+        steps = _iterate(dataset, FixedEpsilon(eps), None, max_iterations)
         next(steps)  # the starting state
         for iteration, step in enumerate(steps, start=1):
             distance = float(np.max(np.abs(step.rho - reference)))
@@ -113,17 +109,9 @@ def sweep_iteration_counts(
 
 
 def run_sweep(
-    dataset: MeasurementRecord,
-    epsilons,
-    tolerances,
-    max_iterations: int = 20000,
-    floor: float = DEFAULT_PROBABILITY_FLOOR,
-    reference: np.ndarray | None = None,
+    dataset: MeasurementRecord, epsilons, tolerances, max_iterations: int = 20000
 ) -> tuple[list[SweepRow], np.ndarray]:
-    """Full sweep: compute (or reuse) the reference solution, then count iterations."""
-    if reference is None:
-        reference = reference_solution(dataset, max_iterations=max_iterations, floor=floor).estimate
-    rows = sweep_iteration_counts(
-        dataset, reference, epsilons, tolerances, max_iterations=max_iterations, floor=floor
-    )
+    """Full sweep: compute the reference solution, then count iterations."""
+    reference = reference_solution(dataset, max_iterations=max_iterations).estimate
+    rows = sweep_iteration_counts(dataset, reference, epsilons, tolerances, max_iterations=max_iterations)
     return rows, reference

@@ -52,7 +52,7 @@ class TestOutcomeProbabilities:
 
     def test_zero_overlap_clamped(self, qubit_record):
         pure = np.diag([1.0, 0.0]).astype(complex)
-        probs = outcome_probabilities(pure, qubit_record, floor=1e-12)
+        probs = outcome_probabilities(pure, qubit_record)
         assert probs[1] == 1e-12
 
     def test_dimension_mismatch(self, qubit_record):
@@ -209,8 +209,7 @@ class TestLineSearch:
         assert gain <= 1e-12
 
     def test_eps_within_grid(self, qubit_record):
-        params = LineSearchEpsilon(grid_lo=1e-3, grid_hi=1e3, grid_points=25)
-        eps, _ = choose_epsilon_line_search(UNIFORM, qubit_record, params)
+        eps, _ = choose_epsilon_line_search(UNIFORM, qubit_record)
         assert 1e-3 <= eps <= 1e3
 
     def test_gain_matches_actual_step(self, qubit_record):

@@ -205,6 +205,13 @@ class TestCliSimulate:
         qio.write_counts_dataset(rewritten, d)
         assert rewritten.read_bytes() == out.read_bytes()
 
+    @pytest.mark.parametrize("phases", ["0", "-1"])
+    def test_bad_phases_exit_three(self, tmp_path, capsys, phases):
+        out = tmp_path / "data.csv"
+        assert main(["simulate", "--n", "10", "--phases", phases, "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("validation error:")
+        assert not out.exists()
+
     def test_simulate_then_reconstruct_vacuum(self, tmp_path):
         data = tmp_path / "vac.csv"
         assert main(["simulate", "--preset", "vacuum", "--dim", "6", "--n", "4000", "--phases", "6", "--seed", "2", "--out", str(data)]) == 0
@@ -249,6 +256,14 @@ class TestCliSweep:
         )
         assert code == 4
         assert not out.exists()
+
+    @pytest.mark.parametrize("max_iters", ["0", "-3"])
+    def test_bad_max_iters_exit_three(self, tmp_path, counterexample_json, capsys, max_iters):
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", str(counterexample_json), "--max-iters", max_iters, "--out", str(out)]
+        assert main(argv) == 3
+        assert "max_iterations must be at least 1" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["qubit.json"]  # no output, no cache directory
 
     @pytest.mark.parametrize(
         "flag, value, code",
@@ -326,26 +341,33 @@ _NUMBER = st.one_of(
 )
 _LIST = st.lists(_NUMBER, max_size=3).map(",".join)
 _DIM = st.one_of(st.none(), st.just("2"), st.sampled_from(["-1", "0", "3", "x", "2.5", ""]))
+_COUNT = st.integers(min_value=-3, max_value=4)  # --n, --phases and --max-iters, including 0 and negatives
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=90, deadline=None, derandomize=True, database=None)
 @given(
-    command=st.sampled_from(["reconstruct", "sweep"]),
-    lists=st.tuples(_LIST, _LIST),
+    command=st.sampled_from(["reconstruct", "sweep", "simulate"]),
+    lists=st.tuples(st.none() | _LIST, st.none() | _LIST),  # None keeps the flag's default
     tolerances=st.tuples(_NUMBER, _NUMBER, _NUMBER),
     dim=_DIM,
+    counts=st.tuples(_COUNT, _COUNT, st.one_of(_COUNT, st.just(50))),
+    fmt=st.sampled_from(["quadrature", "counts"]),
 )
-def test_cli_flag_fuzz(tmp_path_factory, command, lists, tolerances, dim):
-    """Any list, tolerance or --dim value ends in a documented exit code, never a traceback."""
+def test_cli_flag_fuzz(tmp_path_factory, command, lists, tolerances, dim, counts, fmt):
+    """Any list, tolerance, count or --dim value ends in a documented exit code, never a traceback."""
     workdir = tmp_path_factory.mktemp("fuzz")
     data = workdir / "qubit.json"
     qio.write_counts_dataset(data, counterexample_dataset())
+    n, phases, max_iters = counts
     argv = [command, str(data), "--out", str(workdir / "out")]
     if command == "reconstruct":
         flags = ["--tol-residual", "--tol-element", "--tol-loglik"]
         argv += [f"{flag}={value}" for flag, value in zip(flags, tolerances)] + ["--max-iters", "20"]
+    elif command == "sweep":
+        argv += [f"{flag}={value}" for flag, value in zip(["--epsilons", "--tolerances"], lists) if value is not None]
+        argv.append(f"--max-iters={max_iters}")
     else:
-        argv += [f"--epsilons={lists[0]}", f"--tolerances={lists[1]}", "--max-iters", "50"]
+        argv = [command, "--out", str(workdir / "out"), f"--n={n}", f"--phases={phases}", f"--format={fmt}"]
     if dim is not None:
         argv.append(f"--dim={dim}")
     stderr = io.StringIO()
@@ -356,6 +378,10 @@ def test_cli_flag_fuzz(tmp_path_factory, command, lists, tolerances, dim):
             code = exc.code
     assert code in (0, 2, 3, 4)
     assert "Traceback" not in stderr.getvalue()
+    if command == "sweep" and max_iters < 1:
+        assert code in (2, 3)  # a bad flag, never a failed solve
+    if command == "simulate" and (n < 1 or (fmt == "quadrature" and phases < 1)):
+        assert code in (2, 3)
 
 
 class TestStateFiles:
@@ -371,3 +397,33 @@ class TestStateFiles:
         path.write_text(json.dumps({"dim": 2, "re": [[2.0, 0.0], [0.0, -1.0]], "im": [[0.0] * 2] * 2}))
         with pytest.raises(Exception, match="semidefinite"):
             qio.parse_state(path)
+
+
+class TestAtomicWrites:
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "quad.csv"
+        qio.write_quadrature_csv(path, [QuadratureSample(0.0, 1.0)])
+        before = path.read_bytes()
+
+        def samples():
+            yield QuadratureSample(0.5, 2.0)
+            raise RuntimeError("source failed midway")
+
+        with pytest.raises(RuntimeError, match="midway"):
+            qio.write_quadrature_csv(path, samples())
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["quad.csv"]
+
+    def test_failed_rename_leaves_no_temporary_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "state.json"
+        qio.write_state(path, preset_state("vacuum", 2))
+        before = path.read_bytes()
+
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(qio.os, "replace", refuse)
+        with pytest.raises(OSError, match="refused"):
+            qio.write_state(path, preset_state("superposition01", 2))
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["state.json"]

@@ -77,5 +77,5 @@ def test_probabilities_positive_even_for_pure_states():
         rho, d = random_instance(rng)
         values, vectors = np.linalg.eigh(rho)
         pure = np.outer(vectors[:, -1], vectors[:, -1].conj())  # rank-1 edge case
-        probs = outcome_probabilities(pure, d, floor=1e-12)
+        probs = outcome_probabilities(pure, d)
         assert np.all(probs >= 1e-12)

@@ -66,6 +66,11 @@ class TestIterationCounts:
         with pytest.raises(ValidationError):
             sweep_iteration_counts(counterexample_dataset(), MLE, [], [1e-3])
 
+    @pytest.mark.parametrize("max_iterations", [0, -3])
+    def test_rejects_non_positive_max_iterations(self, max_iterations):
+        with pytest.raises(ValidationError, match="max_iterations"):
+            sweep_iteration_counts(counterexample_dataset(), MLE, [1.0], [1e-3], max_iterations=max_iterations)
+
     @pytest.mark.parametrize("epsilons, tolerances", [([math.nan], [1e-3]), ([1.0], [math.nan]), ([1.0, -2.0], [1e-3])])
     def test_rejects_nan_and_non_positive(self, epsilons, tolerances):
         with pytest.raises(ValidationError, match="positive"):
