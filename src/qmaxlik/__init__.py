@@ -39,7 +39,6 @@ from .operators import (
     validate_povm_element,
 )
 from .povm import (
-    QuadratureSample,
     counterexample_dataset,
     harmonic_wavefunction,
     projector_from_state,
@@ -62,7 +61,6 @@ __all__ = [
     "InfiniteRhoR",
     "LineSearchEpsilon",
     "QuadratureDataset",
-    "QuadratureSample",
     "RandomEpsilon",
     "ReconstructionConfig",
     "ReconstructionResult",

@@ -30,6 +30,7 @@ from .engine import (
     reconstruct,
 )
 from .errors import ConvergenceError, DataFormatError, ValidationError
+from .operators import validate_density
 from .povm import projector_from_state
 from .simulate import RNG_ALGORITHM, SimulationSpec, preset_state, sample_counts, sample_quadratures
 from .sweep import REFERENCE_TOLERANCE, reference_solution, sweep_iteration_counts
@@ -135,16 +136,21 @@ def _parse_float_list(text: str, allow_inf: bool) -> list[float]:
     return values
 
 
-def _cached_reference(dataset_path: Path, dim, max_iters: int, cache_dir: Path):
-    """The cached reference solution for this input and solve, if any, and its cache file."""
+def _cached_reference(dataset_path: Path, dataset, dim, max_iters: int, cache_dir: Path):
+    """The cached reference solution for this input and solve, if any, and its cache file.
+
+    An entry that is not a density matrix of the dataset's dimension is a miss.
+    """
     key = (f"|dim={dim}|max_iters={max_iters}|floor={PROBABILITY_FLOOR!r}"
            f"|tolerance={REFERENCE_TOLERANCE!r}|format={REFERENCE_CACHE_FORMAT}")
     digest = hashlib.sha256(dataset_path.read_bytes() + key.encode()).hexdigest()
     cache_file = cache_dir / f"reference-{digest[:24]}.json"
     if cache_file.exists():
         try:
-            return io.parse_result_estimate(cache_file), cache_file
-        except DataFormatError:
+            estimate = io.parse_result_estimate(cache_file)
+            if estimate.shape == (dataset.dim, dataset.dim):
+                return validate_density(estimate), cache_file
+        except (DataFormatError, ValidationError):
             pass  # a damaged entry is a miss; the fresh solve overwrites it
     return None, cache_file
 
@@ -158,7 +164,7 @@ def cmd_sweep(args) -> int:
     cache_dir = Path(args.cache_dir) if args.cache_dir else out.parent / ".sweep-cache"
 
     start = time.perf_counter()
-    reference, cache_file = _cached_reference(dataset_path, args.dim, args.max_iters, cache_dir)
+    reference, cache_file = _cached_reference(dataset_path, dataset, args.dim, args.max_iters, cache_dir)
     if reference is None:
         try:
             ref_result = reference_solution(dataset, max_iterations=args.max_iters)
@@ -205,9 +211,9 @@ def cmd_simulate(args) -> int:
         if args.phases < 1:
             raise ValidationError("--phases must be at least 1")
         phases = np.linspace(0.0, np.pi, args.phases, endpoint=False)
-        samples = sample_quadratures(spec, phases, dim)
-        io.write_quadrature_csv(out, samples)
-        extra = {"phases": [float(p) for p in phases], "samples": len(samples)}
+        thetas, xs = sample_quadratures(spec, phases, dim)
+        io.write_quadrature_csv(out, thetas, xs)
+        extra = {"phases": [float(p) for p in phases], "samples": len(xs)}
     else:
         basis = np.stack([projector_from_state(np.eye(dim)[k]) for k in range(dim)])
         dataset = sample_counts(spec, basis)

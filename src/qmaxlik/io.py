@@ -5,9 +5,11 @@ with re/im as dim x dim row-major arrays. Quadrature records are CSV files
 with header ``theta,x`` and one sample per row, loaded as a factored
 ``QuadratureDataset`` (the truncation dimension comes from the caller).
 Floats are written with 17 significant digits so a load/store round trip is
-lossless. Every writer replaces its target atomically: the text goes to a
-temporary file in the target's directory, which is then renamed over it, so a
-failed write leaves any previous file intact.
+lossless. Every reader decodes its file as UTF-8 and reports a file it cannot
+read or decode as a ``DataFormatError`` naming the path. Every writer replaces
+its target atomically: the text goes to a temporary file in the target's
+directory, which is then renamed over it, so a failed write leaves any
+previous file intact.
 """
 
 from __future__ import annotations
@@ -26,8 +28,16 @@ from .dataset import Dataset, MeasurementRecord
 from .engine import ReconstructionResult
 from .errors import DataFormatError
 from .operators import validate_density
-from .povm import QuadratureSample, quadrature_dataset
+from .povm import quadrature_dataset
 from .sweep import SweepRow
+
+
+def _read_text(path: Path) -> str:
+    """The file's text as UTF-8; an unreadable or undecodable file is a ``DataFormatError``."""
+    try:
+        return path.read_bytes().decode("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataFormatError(f"{path}: cannot read ({getattr(exc, 'strerror', None) or exc})") from exc
 
 
 def _write_atomic(path, text: str) -> None:
@@ -92,13 +102,13 @@ def parse_dataset(path, dim: int | None = None) -> MeasurementRecord:
     if path.suffix.lower() == ".csv":
         if dim is None:
             raise DataFormatError("quadrature CSV input needs an explicit dimension")
-        return quadrature_dataset(parse_quadrature_csv(path), dim)
+        return quadrature_dataset(*parse_quadrature_csv(path), dim)
     raise DataFormatError(f"unsupported dataset extension {path.suffix!r} (use .json or .csv)")
 
 
 def _parse_counts_json(path: Path) -> Dataset:
     try:
-        payload = json.loads(Path(path).read_text())
+        payload = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(payload, dict):
@@ -136,33 +146,34 @@ def write_counts_dataset(path, dataset: MeasurementRecord) -> None:
     _write_atomic(path, json.dumps(payload, indent=1) + "\n")
 
 
-def parse_quadrature_csv(path) -> list[QuadratureSample]:
+def parse_quadrature_csv(path) -> tuple[np.ndarray, np.ndarray]:
+    """Phases and quadrature values of a ``theta,x`` CSV file, as two float arrays."""
     path = Path(path)
-    samples = []
-    with path.open(newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["theta", "x"]:
-            raise DataFormatError(f"{path}: expected header 'theta,x', got {header!r}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise DataFormatError(f"{path}:{lineno}: expected two columns, got {len(row)}")
-            try:
-                theta, x = float(row[0]), float(row[1])
-            except ValueError as exc:
-                raise DataFormatError(f"{path}:{lineno}: non-numeric value ({exc})") from exc
-            if not (math.isfinite(theta) and math.isfinite(x)):
-                raise DataFormatError(f"{path}:{lineno}: values must be finite")
-            samples.append(QuadratureSample(theta, x))
-    if not samples:
+    values: list[float] = []  # theta, x, theta, x, ...
+    reader = csv.reader(StringIO(_read_text(path), newline=""))
+    header = next(reader, None)
+    if header is None or [h.strip() for h in header] != ["theta", "x"]:
+        raise DataFormatError(f"{path}: expected header 'theta,x', got {header!r}")
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != 2:
+            raise DataFormatError(f"{path}:{lineno}: expected two columns, got {len(row)}")
+        try:
+            theta, x = float(row[0]), float(row[1])
+        except ValueError as exc:
+            raise DataFormatError(f"{path}:{lineno}: non-numeric value ({exc})") from exc
+        if not (math.isfinite(theta) and math.isfinite(x)):
+            raise DataFormatError(f"{path}:{lineno}: values must be finite")
+        values.append(theta)
+        values.append(x)
+    if not values:
         raise DataFormatError(f"{path}: no samples")
-    return samples
+    return np.array(values[0::2]), np.array(values[1::2])
 
 
-def write_quadrature_csv(path, samples) -> None:
-    _write_atomic(path, _csv_text(["theta", "x"], ([_fmt(theta), _fmt(x)] for theta, x in samples)))
+def write_quadrature_csv(path, thetas, xs) -> None:
+    _write_atomic(path, _csv_text(["theta", "x"], ([_fmt(theta), _fmt(x)] for theta, x in zip(thetas, xs))))
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +184,7 @@ def parse_state(path) -> np.ndarray:
     """Load a density matrix from JSON ``{dim, re, im}`` and validate it."""
     path = Path(path)
     try:
-        payload = json.loads(path.read_text())
+        payload = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"{path}: invalid JSON ({exc})") from exc
     try:
@@ -214,8 +225,9 @@ def write_result_json(path, result: ReconstructionResult) -> None:
 
 
 def parse_result_estimate(path) -> np.ndarray:
+    text = _read_text(Path(path))
     try:
-        payload = json.loads(Path(path).read_text())
+        payload = json.loads(text)
         dim = int(payload["dim"])
         re, im = payload["estimate"]["re"], payload["estimate"]["im"]
     except (KeyError, TypeError, ValueError) as exc:  # ValueError covers invalid JSON

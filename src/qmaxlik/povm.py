@@ -11,19 +11,10 @@ eigenfunction. Input data must use the same scaling.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
-
 import numpy as np
 
 from .dataset import Dataset, QuadratureDataset
 from .errors import ValidationError
-
-
-class QuadratureSample(NamedTuple):
-    """One homodyne sample: local-oscillator phase (radians) and quadrature value."""
-
-    theta: float
-    x: float
 
 
 def projector_from_state(v) -> np.ndarray:
@@ -77,40 +68,22 @@ def wavefunction_table(dim: int, x) -> np.ndarray:
     return table
 
 
-def quadrature_state(theta: float, x: float, dim: int) -> np.ndarray:
-    """Fock-basis coefficients of the (truncated) quadrature eigenvector at phase theta."""
+def quadrature_projector(theta: float, x: float, dim: int) -> np.ndarray:
+    """Rank-1 element for one homodyne sample: entries exp(i(m-n)theta) psi_m(x) psi_n(x)."""
     if not (np.isfinite(theta) and np.isfinite(x)):
         raise ValidationError("phase and quadrature value must be finite")
-    psi = wavefunction_table(dim, x)[:, 0]
-    return np.exp(1j * theta * np.arange(dim)) * psi
-
-
-def quadrature_projector(sample: QuadratureSample | tuple[float, float], dim: int) -> np.ndarray:
-    """Rank-1 element for one homodyne sample: entries exp(i(m-n)theta) psi_m(x) psi_n(x)."""
-    theta, x = sample
-    chi = quadrature_state(theta, x, dim)
+    chi = np.exp(1j * theta * np.arange(dim)) * wavefunction_table(dim, x)[:, 0]
     return np.outer(chi, chi.conj())
 
 
-_PAIR = np.dtype([("theta", np.float64), ("x", np.float64)])
-
-
-def quadrature_dataset(
-    samples: Iterable[QuadratureSample | tuple[float, float]], dim: int
-) -> QuadratureDataset:
-    """Record with one rank-1 element per homodyne sample, each with count 1.
+def quadrature_dataset(thetas, xs, dim: int) -> QuadratureDataset:
+    """Record with one rank-1 element per homodyne sample (thetas[k], xs[k]), each with count 1.
 
     The per-sample projectors form an unnormalized continuous POVM; use the
     plain (uncorrected) iteration on the result. The elements are stored in
     factored form (see ``QuadratureDataset``) and kept in sample order.
     """
-    try:  # one pass into a two-field record array, viewed as (m, 2) floats
-        arr = np.fromiter(map(tuple, samples), dtype=_PAIR).view(np.float64).reshape(-1, 2)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError("samples must be (theta, x) pairs") from exc
-    if arr.size == 0:
+    psi = wavefunction_table(dim, xs).T
+    if psi.shape[0] == 0:
         raise ValidationError("sample list is empty")
-    thetas, xs = arr[:, 0], arr[:, 1]
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError("samples must be finite")
-    return QuadratureDataset(psi=wavefunction_table(dim, xs).T, thetas=thetas, counts=np.ones(arr.shape[0]))
+    return QuadratureDataset(psi=psi, thetas=thetas, counts=np.ones(psi.shape[0]))

@@ -14,7 +14,7 @@ import numpy as np
 from .dataset import Dataset
 from .errors import ValidationError
 from .operators import validate_density
-from .povm import QuadratureSample, wavefunction_table
+from .povm import wavefunction_table
 
 RNG_ALGORITHM = "numpy.random.PCG64"
 
@@ -71,8 +71,8 @@ def quadrature_density_table(state: np.ndarray, theta: float, grid: np.ndarray) 
     return np.maximum(density, 0.0)
 
 
-def sample_quadratures(spec: SimulationSpec, phases, dim: int) -> list[QuadratureSample]:
-    """Homodyne samples of the true state at the given local-oscillator phases.
+def sample_quadratures(spec: SimulationSpec, phases, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Homodyne samples of the true state: arrays of phases and quadrature values.
 
     Each sample picks a phase uniformly from ``phases`` and draws x by inverse
     CDF from p(x | theta) tabulated on a uniform grid over [-6, 6] with 2048
@@ -107,8 +107,7 @@ def sample_quadratures(spec: SimulationSpec, phases, dim: int) -> list[Quadratur
             continue
         cdf = cdfs[i]
         xs[mask] = np.interp(uniforms[mask] * cdf[-1], cdf, grid)
-    thetas = phase_list[phase_idx]
-    return [QuadratureSample(float(t), float(x)) for t, x in zip(thetas, xs)]
+    return phase_list[phase_idx], xs
 
 
 def preset_state(name: str, dim: int) -> np.ndarray:

@@ -5,8 +5,9 @@ element tolerance), then rerun the diluted iteration from scratch for each eps
 and count steps until every matrix element is within the requested tolerance
 of the reference. Each trajectory is the loop ``reconstruct`` runs under
 ``FixedEpsilon(eps)`` (no G-correction), eps = inf giving the plain quadratic
-update. Every eps and tolerance must be positive; NaN is rejected. A reference
-solve that stops without converging raises ``ConvergenceError``.
+update. Every eps and tolerance must be positive; NaN is rejected, as is a
+reference that is not a finite dim x dim matrix. A reference solve that stops
+without converging raises ``ConvergenceError``.
 """
 
 from __future__ import annotations
@@ -78,6 +79,9 @@ def sweep_iteration_counts(
         raise ValidationError("eps values and tolerances must be positive")
     if max_iterations < 1:
         raise ValidationError("max_iterations must be at least 1")
+    reference = np.asarray(reference)
+    if reference.shape != (dataset.dim, dataset.dim) or not np.all(np.isfinite(reference)):
+        raise ValidationError(f"reference must be a finite {dataset.dim}x{dataset.dim} matrix")
 
     crossings: dict[tuple[float, float], int | None] = {}
     for eps in eps_list:

@@ -144,8 +144,8 @@ def test_criterion_7_synthetic_homodyne_end_to_end():
         true_state = preset_state("superposition01", dim)
         spec = SimulationSpec(state=true_state, seed=7, count=20000)
         phases = np.linspace(0.0, np.pi, 12, endpoint=False)
-        samples = sample_quadratures(spec, phases, dim)
-        dataset = quadrature_dataset(samples, dim)
+        thetas, xs = sample_quadratures(spec, phases, dim)
+        dataset = quadrature_dataset(thetas, xs, dim)
 
         plain = reconstruct(
             dataset,

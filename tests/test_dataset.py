@@ -7,7 +7,6 @@ from qmaxlik import (
     Dataset,
     GOperator,
     QuadratureDataset,
-    QuadratureSample,
     ValidationError,
     counterexample_dataset,
     outcome_probabilities,
@@ -97,7 +96,7 @@ def _record(rng, thetas, dim):
 
 def _dense(record, xs):
     """The same record as an explicit element stack, one projector per sample."""
-    stack = [quadrature_projector(QuadratureSample(t, x), record.dim) for t, x in zip(record.thetas, xs)]
+    stack = [quadrature_projector(t, x, record.dim) for t, x in zip(record.thetas, xs)]
     return Dataset(elements=np.stack(stack), counts=record.counts)
 
 
@@ -137,16 +136,17 @@ class TestQuadratureDataset:
     def test_outcome_order_follows_input(self):
         rng = np.random.default_rng(12)
         thetas = _layouts(rng)["mix"]
-        samples = [QuadratureSample(t, x) for t, x in zip(thetas, rng.normal(size=thetas.size))]
+        xs = rng.normal(size=thetas.size)
         rho = random_density(rng, 4)
-        d = quadrature_dataset(samples, 4)
-        expected = [(quadrature_projector(s, 4) @ rho).trace().real for s in samples]
+        d = quadrature_dataset(thetas, xs, 4)
+        expected = [(quadrature_projector(t, x, 4) @ rho).trace().real for t, x in zip(thetas, xs)]
         np.testing.assert_allclose(outcome_probabilities(rho, d), expected, rtol=0, atol=1e-13)
-        perm = rng.permutation(len(samples))
-        shuffled = quadrature_dataset([samples[k] for k in perm], 4)
+        perm = rng.permutation(len(xs))
+        shuffled = quadrature_dataset(thetas[perm], xs[perm], 4)
         np.testing.assert_allclose(outcome_probabilities(rho, shuffled), np.asarray(expected)[perm],
                                    rtol=0, atol=1e-13)
-        np.testing.assert_allclose(shuffled.elements[3], quadrature_projector(samples[perm[3]], 4), atol=1e-14)
+        np.testing.assert_allclose(shuffled.elements[3], quadrature_projector(thetas[perm[3]], xs[perm[3]], 4),
+                                   atol=1e-14)
 
     @pytest.mark.parametrize("layout", ["few", "distinct", "mix", "single"])
     def test_memory_is_linear_in_samples(self, layout):

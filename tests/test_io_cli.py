@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmaxlik import DataFormatError, QuadratureSample, counterexample_dataset, fidelity, preset_state
+from qmaxlik import DataFormatError, counterexample_dataset, fidelity, preset_state
 from qmaxlik import io as qio
 from qmaxlik.cli import main
 
@@ -27,9 +27,9 @@ class TestDatasetRoundTrip:
 
     def test_quadrature_csv(self, tmp_path):
         path = tmp_path / "quad.csv"
-        samples = [QuadratureSample(0.1, -1.23456789012345678), QuadratureSample(2.0, 0.5)]
-        qio.write_quadrature_csv(path, samples)
-        again = qio.parse_quadrature_csv(path)
+        samples = [[0.1, 2.0], [-1.23456789012345678, 0.5]]
+        qio.write_quadrature_csv(path, *samples)
+        again = [values.tolist() for values in qio.parse_quadrature_csv(path)]
         assert again == samples  # 17 significant digits round-trip doubles exactly
 
     def test_csv_single_row_matches_projector_example(self, tmp_path):
@@ -79,6 +79,51 @@ class TestDatasetRoundTrip:
         path.write_text(text)
         with pytest.raises(DataFormatError):
             qio.parse_result_estimate(path)
+
+
+class TestQuadratureCsvRows:
+    """A bad row names its file and line; the CLI turns it into one line on stderr and exit 2."""
+
+    @pytest.mark.parametrize(
+        "text, where, message",
+        [
+            ("theta,x\n0.0,0.1\n0.5,abc\n", ":3", "non-numeric value"),
+            ("theta,x\n0.0,0.1,0.2\n", ":2", "expected two columns, got 3"),
+            ("theta,x\n0.0,0.1\n0.5\n", ":3", "expected two columns, got 1"),
+            ("theta,x\nnan,0.1\n", ":2", "values must be finite"),
+            ("theta,x\n0.0,0.1\n0.2,inf\n", ":3", "values must be finite"),
+            ("theta,x\n0.0,-inf\n", ":2", "values must be finite"),
+            ("theta,x\n\n0.0,0.1\n\n0.5,x\n", ":5", "non-numeric value"),  # blank lines still count
+            ("theta,x\r\n0.0,0.1\r\n0.5,1e999\r\n", ":3", "values must be finite"),
+            ("theta,x\n", "", "no samples"),
+            ("theta,x\n\n\n", "", "no samples"),
+        ],
+    )
+    def test_bad_row_names_its_line(self, tmp_path, capsys, text, where, message):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(text.encode())
+        with pytest.raises(DataFormatError) as excinfo:
+            qio.parse_quadrature_csv(path)
+        assert str(excinfo.value).startswith(f"{path}{where}: {message}")
+        out = tmp_path / "o.json"
+        assert main(["reconstruct", str(path), "--dim", "2", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"parse error: {path}{where}: {message}")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text",
+        ["theta,x\n\n0.0,0.1\n\n1.0,-0.2\n\n", "theta,x\r\n0.0,0.1\r\n1.0,-0.2\r\n", "theta,x\r\n0.0,0.1\r\n\r\n1.0,-0.2"],
+    )
+    def test_blank_lines_and_crlf_read_like_plain_rows(self, tmp_path, text):
+        plain, other = tmp_path / "plain.csv", tmp_path / "other.csv"
+        plain.write_bytes(b"theta,x\n0.0,0.1\n1.0,-0.2\n")
+        other.write_bytes(text.encode())
+        a, b = qio.parse_dataset(plain, dim=3), qio.parse_dataset(other, dim=3)
+        assert b.n_outcomes == 2
+        np.testing.assert_array_equal(b.thetas, a.thetas)
+        np.testing.assert_array_equal(b.psi, a.psi)
 
 
 class TestCliReconstruct:
@@ -171,6 +216,43 @@ class TestCliReconstruct:
         assert main(args + ["--out", str(out1)]) in (0, 4)
         assert main(args + ["--out", str(out2)]) in (0, 4)
         assert out1.read_bytes() == out2.read_bytes()
+
+
+class TestUnreadableInput:
+    """A file that cannot be read or decoded is a parse error naming it: exit 2, one line."""
+
+    @staticmethod
+    def _inputs(tmp_path):
+        for suffix in (".csv", ".json"):
+            binary = tmp_path / f"binary{suffix}"
+            binary.write_bytes(b"theta,x\n0.0,\xff\xfe\n" if suffix == ".csv" else b'{"dim": 2\xff}')
+            folder = tmp_path / f"folder{suffix}"
+            folder.mkdir()
+            yield binary
+            yield folder
+
+    @pytest.mark.parametrize("command", ["reconstruct", "sweep", "simulate"])
+    def test_exit_two_with_one_line(self, tmp_path, capsys, command):
+        for path in self._inputs(tmp_path):
+            out = tmp_path / "out"
+            if command == "simulate":
+                argv = ["simulate", "--state-file", str(path), "--out", str(out)]
+            else:
+                argv = [command, str(path), "--dim", "2", "--max-iters", "50", "--out", str(out)]
+            assert main(argv) == 2, path
+            err = capsys.readouterr().err
+            assert err.startswith(f"parse error: {path}: cannot read"), err
+            assert err.count("\n") == 1
+            assert not out.exists()
+
+    def test_library_readers_raise_data_format_error(self, tmp_path):
+        for path in self._inputs(tmp_path):
+            readers = [lambda p: qio.parse_dataset(p, dim=2), qio.parse_state, qio.parse_result_estimate]
+            if path.suffix == ".csv":
+                readers.append(qio.parse_quadrature_csv)
+            for reader in readers:
+                with pytest.raises(DataFormatError, match="cannot read"):
+                    reader(path)
 
 
 class TestCliSimulate:
@@ -300,6 +382,26 @@ class TestCliSweep:
         assert warm.read_bytes() == cold.read_bytes()
         assert cached.read_bytes() == intact
 
+    @pytest.mark.parametrize("tamper", ["dim_one", "nan"])
+    def test_tampered_cache_entry_is_rewritten(self, tmp_path, counterexample_json, tamper):
+        cache = tmp_path / "cache"
+        args = ["sweep", str(counterexample_json), "--epsilons", "0.5,inf", "--tolerances", "1e-4",
+                "--max-iters", "500", "--cache-dir", str(cache)]
+        cold, warm = tmp_path / "cold.csv", tmp_path / "warm.csv"
+        assert main(args + ["--out", str(cold)]) == 0
+        (cached,) = cache.glob("reference-*.json")
+        intact = cached.read_bytes()
+        payload = json.loads(intact)
+        if tamper == "dim_one":  # a well-formed result file of the wrong dimension
+            payload["dim"], payload["estimate"] = 1, {"re": [[1.0]], "im": [[0.0]]}
+        else:
+            payload["estimate"]["re"][0][0] = float("nan")
+        cached.write_text(json.dumps(payload))
+        assert qio.parse_result_estimate(cached).shape in ((1, 1), (2, 2))  # still parses
+        assert main(args + ["--out", str(warm)]) == 0
+        assert warm.read_bytes() == cold.read_bytes()
+        assert cached.read_bytes() == intact
+
     def test_cache_entry_of_other_max_iters_is_a_miss(self, tmp_path, counterexample_json):
         cache = tmp_path / "cache"
         args = ["sweep", str(counterexample_json), "--epsilons", "1", "--tolerances", "1e-4",
@@ -342,9 +444,23 @@ _NUMBER = st.one_of(
 _LIST = st.lists(_NUMBER, max_size=3).map(",".join)
 _DIM = st.one_of(st.none(), st.just("2"), st.sampled_from(["-1", "0", "3", "x", "2.5", ""]))
 _COUNT = st.integers(min_value=-3, max_value=4)  # --n, --phases and --max-iters, including 0 and negatives
+_FILE_BYTES = st.one_of(  # None keeps the valid qubit JSON input
+    st.none(),
+    st.binary(max_size=48),
+    st.sampled_from([b"\xff\xfe", b"theta,x\n0.5,\x80\n", b'{"dim": 2, "re": [[1]]\xc3}', b"theta,x\n1,2\n",
+                     b"theta,x\r\n0,0\r\n\x00,1\r\n", b'{"dim": 1, "re": [[1]], "im": [[0]]}']),
+)
 
 
-@settings(max_examples=90, deadline=None, derandomize=True, database=None)
+def _decodes(payload: bytes) -> bool:
+    try:
+        payload.decode("utf-8")
+    except UnicodeDecodeError:
+        return False
+    return True
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(
     command=st.sampled_from(["reconstruct", "sweep", "simulate"]),
     lists=st.tuples(st.none() | _LIST, st.none() | _LIST),  # None keeps the flag's default
@@ -352,12 +468,17 @@ _COUNT = st.integers(min_value=-3, max_value=4)  # --n, --phases and --max-iters
     dim=_DIM,
     counts=st.tuples(_COUNT, _COUNT, st.one_of(_COUNT, st.just(50))),
     fmt=st.sampled_from(["quadrature", "counts"]),
+    payload=_FILE_BYTES,
+    suffix=st.sampled_from([".csv", ".json"]),
 )
-def test_cli_flag_fuzz(tmp_path_factory, command, lists, tolerances, dim, counts, fmt):
-    """Any list, tolerance, count or --dim value ends in a documented exit code, never a traceback."""
+def test_cli_flag_fuzz(tmp_path_factory, command, lists, tolerances, dim, counts, fmt, payload, suffix):
+    """Any list, tolerance, count, --dim value or input file ends in a documented exit code, never a traceback."""
     workdir = tmp_path_factory.mktemp("fuzz")
     data = workdir / "qubit.json"
     qio.write_counts_dataset(data, counterexample_dataset())
+    if payload is not None:  # random bytes as the input file, or as --state-file for simulate
+        data = workdir / f"input{suffix}"
+        data.write_bytes(payload)
     n, phases, max_iters = counts
     argv = [command, str(data), "--out", str(workdir / "out")]
     if command == "reconstruct":
@@ -368,6 +489,8 @@ def test_cli_flag_fuzz(tmp_path_factory, command, lists, tolerances, dim, counts
         argv.append(f"--max-iters={max_iters}")
     else:
         argv = [command, "--out", str(workdir / "out"), f"--n={n}", f"--phases={phases}", f"--format={fmt}"]
+        if payload is not None:
+            argv.append(f"--state-file={data}")
     if dim is not None:
         argv.append(f"--dim={dim}")
     stderr = io.StringIO()
@@ -382,6 +505,8 @@ def test_cli_flag_fuzz(tmp_path_factory, command, lists, tolerances, dim, counts
         assert code in (2, 3)  # a bad flag, never a failed solve
     if command == "simulate" and (n < 1 or (fmt == "quadrature" and phases < 1)):
         assert code in (2, 3)
+    if payload is not None and not _decodes(payload):
+        assert code == 2
 
 
 class TestStateFiles:
@@ -402,15 +527,15 @@ class TestStateFiles:
 class TestAtomicWrites:
     def test_failed_write_keeps_previous_file(self, tmp_path):
         path = tmp_path / "quad.csv"
-        qio.write_quadrature_csv(path, [QuadratureSample(0.0, 1.0)])
+        qio.write_quadrature_csv(path, [0.0], [1.0])
         before = path.read_bytes()
 
-        def samples():
-            yield QuadratureSample(0.5, 2.0)
+        def xs():
+            yield 2.0
             raise RuntimeError("source failed midway")
 
         with pytest.raises(RuntimeError, match="midway"):
-            qio.write_quadrature_csv(path, samples())
+            qio.write_quadrature_csv(path, [0.5, 0.6], xs())
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["quad.csv"]
 

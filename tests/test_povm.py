@@ -3,7 +3,6 @@ import pytest
 
 from qmaxlik import (
     Dataset,
-    QuadratureSample,
     ValidationError,
     counterexample_dataset,
     harmonic_wavefunction,
@@ -84,31 +83,31 @@ class TestHarmonicWavefunction:
 
 class TestQuadratureProjector:
     def test_origin_sample(self):
-        p = quadrature_projector(QuadratureSample(0.0, 0.0), 2)
+        p = quadrature_projector(0.0, 0.0, 2)
         np.testing.assert_allclose(p, np.diag([np.pi ** -0.5, 0.0]), atol=1e-12)
 
     def test_trace_completeness_for_small_x(self):
         for x in np.linspace(-2.0, 2.0, 9):
-            p = quadrature_projector(QuadratureSample(0.7, x), 30)
+            p = quadrature_projector(0.7, x, 30)
             assert p.trace().real >= 0.999
 
     def test_phase_pi_flips_off_diagonal_sign(self):
         x = 0.8
-        p0 = quadrature_projector(QuadratureSample(0.0, x), 3)
-        ppi = quadrature_projector(QuadratureSample(np.pi, x), 3)
+        p0 = quadrature_projector(0.0, x, 3)
+        ppi = quadrature_projector(np.pi, x, 3)
         assert ppi[0, 1].real == pytest.approx(-p0[0, 1].real, abs=1e-12)
 
     def test_periodic_in_phase(self):
-        s0 = QuadratureSample(1.1, -0.4)
-        s1 = QuadratureSample(1.1 + 2 * np.pi, -0.4)
-        a, b = quadrature_projector(s0, 12), quadrature_projector(s1, 12)
+        s0 = (1.1, -0.4)
+        s1 = (1.1 + 2 * np.pi, -0.4)
+        a, b = quadrature_projector(*s0, 12), quadrature_projector(*s1, 12)
         assert np.max(np.abs(a - b)) <= 1e-12
 
     def test_rank_one_psd_hermitian(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
-            s = QuadratureSample(float(rng.uniform(0, 2 * np.pi)), float(rng.uniform(-4, 4)))
-            p = quadrature_projector(s, 10)
+            s = (float(rng.uniform(0, 2 * np.pi)), float(rng.uniform(-4, 4)))
+            p = quadrature_projector(*s, 10)
             assert np.max(np.abs(p - p.conj().T)) <= 1e-14
             values = np.linalg.eigvalsh(p)
             assert values[0] >= -1e-14
@@ -117,25 +116,23 @@ class TestQuadratureProjector:
 
 class TestQuadratureDataset:
     def test_one_record_per_sample(self):
-        samples = [QuadratureSample(0.0, 0.1), QuadratureSample(1.0, -0.2), QuadratureSample(2.0, 0.3)]
-        d = quadrature_dataset(samples, 4)
+        d = quadrature_dataset([0.0, 1.0, 2.0], [0.1, -0.2, 0.3], 4)
         assert d.n_outcomes == 3
         assert d.total == 3.0
         assert np.all(d.counts == 1.0)
 
     def test_elements_match_single_projector(self):
-        samples = [QuadratureSample(0.4, 1.2)]
-        d = quadrature_dataset(samples, 6)
-        np.testing.assert_allclose(d.elements[0], quadrature_projector(samples[0], 6), atol=1e-14)
+        d = quadrature_dataset([0.4], [1.2], 6)
+        np.testing.assert_allclose(d.elements[0], quadrature_projector(0.4, 1.2, 6), atol=1e-14)
 
     def test_merging_duplicates_preserves_r_and_probabilities(self):
         rng = np.random.default_rng(2)
-        s = QuadratureSample(0.3, 0.9)
-        others = [QuadratureSample(1.2, -0.5), QuadratureSample(2.1, 0.2)]
-        unmerged = quadrature_dataset([s, s] + others, 5)
+        s = (0.3, 0.9)
+        others = ([1.2, 2.1], [-0.5, 0.2])
+        unmerged = quadrature_dataset([0.3, 0.3, 1.2, 2.1], [0.9, 0.9, -0.5, 0.2], 5)
         merged = Dataset(
             elements=np.concatenate(
-                [quadrature_projector(s, 5)[None], quadrature_dataset(others, 5).elements]
+                [quadrature_projector(*s, 5)[None], quadrature_dataset(*others, 5).elements]
             ),
             counts=np.array([2.0, 1.0, 1.0]),
         )
@@ -148,13 +145,13 @@ class TestQuadratureDataset:
         )
 
     def test_dim_fifteen_truncation(self):
-        d = quadrature_dataset([QuadratureSample(0.0, 0.0)], 15)
+        d = quadrature_dataset([0.0], [0.0], 15)
         assert d.dim == 15  # photon numbers 0..14
 
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
-            quadrature_dataset([], 4)
+            quadrature_dataset([], [], 4)
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValidationError):
-            quadrature_dataset([QuadratureSample(float("nan"), 0.0)], 4)
+            quadrature_dataset([float("nan")], [0.0], 4)

@@ -75,3 +75,12 @@ class TestIterationCounts:
     def test_rejects_nan_and_non_positive(self, epsilons, tolerances):
         with pytest.raises(ValidationError, match="positive"):
             sweep_iteration_counts(counterexample_dataset(), MLE, epsilons, tolerances)
+
+    @pytest.mark.parametrize(
+        "reference",
+        [np.eye(1), np.eye(3) / 3, np.diag([1 / 3, 2 / 3, 0.0])[:2], np.diag([math.nan, 2 / 3]),
+         np.diag([1 / 3, math.inf])],
+    )
+    def test_rejects_reference_of_wrong_shape_or_non_finite(self, reference):
+        with pytest.raises(ValidationError, match="reference"):
+            sweep_iteration_counts(counterexample_dataset(), reference, [1.0], [1e-3])
