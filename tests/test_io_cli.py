@@ -436,6 +436,93 @@ class TestCliSweep:
         assert cached[0].stat().st_mtime_ns == stamp  # untouched on the second run
 
 
+_MANIFEST_KEYS = ["command", "input_path", "output_paths", "config", "seed", "rng_algorithm",
+                  "wall_seconds_total", "wall_seconds_per_iteration", "extra"]
+_TOLERANCES = {"tol_residual": 1e-8, "tol_element": 1e-10, "tol_loglik": 1e-13}
+
+
+class TestManifest:
+    """Each command's ``<out>.manifest.json``: its keys in order and every value but the wall times."""
+
+    @staticmethod
+    def _read(out):
+        manifest = json.loads(out.with_name(out.name + ".manifest.json").read_text())
+        assert list(manifest) == _MANIFEST_KEYS
+        assert manifest.pop("wall_seconds_total") >= 0
+        return manifest, manifest.pop("wall_seconds_per_iteration")
+
+    def test_reconstruct(self, tmp_path, counterexample_json):
+        out = tmp_path / "r.json"
+        assert main(["reconstruct", str(counterexample_json), "--strategy", "fixed", "--epsilon", "1",
+                     "--out", str(out)]) == 0
+        manifest, per_iteration = self._read(out)
+        assert per_iteration > 0
+        assert manifest == {
+            "command": "reconstruct", "input_path": str(counterexample_json), "output_paths": [str(out)],
+            "config": {"command": "reconstruct", "input": str(counterexample_json), "out": str(out),
+                       "strategy": "fixed", "epsilon": 1.0, **_TOLERANCES, "max_iters": 5000, "dim": None,
+                       "g_correction": False, "seed": 0},
+            "seed": 0, "rng_algorithm": None, "extra": {"termination": "residual_met", "iterations": 3},
+        }
+
+    def test_reconstruct_random(self, tmp_path, counterexample_json):
+        out = tmp_path / "r.json"
+        assert main(["reconstruct", str(counterexample_json), "--strategy", "random", "--seed", "4",
+                     "--max-iters", "30", "--g-correction", "--out", str(out)]) == 4
+        manifest, per_iteration = self._read(out)
+        assert per_iteration > 0
+        assert manifest == {
+            "command": "reconstruct", "input_path": str(counterexample_json), "output_paths": [str(out)],
+            "config": {"command": "reconstruct", "input": str(counterexample_json), "out": str(out),
+                       "strategy": "random", "epsilon": None, **_TOLERANCES, "max_iters": 30, "dim": None,
+                       "g_correction": True, "seed": 4},
+            "seed": 4, "rng_algorithm": "numpy.random.PCG64",
+            "extra": {"termination": "likelihood_stalled", "iterations": 19},
+        }
+
+    def test_sweep(self, tmp_path, counterexample_json):
+        out = tmp_path / "s.csv"
+        assert main(["sweep", str(counterexample_json), "--epsilons", "1", "--tolerances", "1e-4",
+                     "--max-iters", "300", "--out", str(out)]) == 0
+        manifest, per_iteration = self._read(out)
+        assert per_iteration is None
+        (cached,) = (tmp_path / ".sweep-cache").glob("reference-*.json")
+        assert manifest == {
+            "command": "sweep", "input_path": str(counterexample_json), "output_paths": [str(out)],
+            "config": {"command": "sweep", "input": str(counterexample_json), "out": str(out), "epsilons": "1",
+                       "tolerances": "1e-4", "max_iters": 300, "dim": None, "cache_dir": None},
+            "seed": None, "rng_algorithm": None, "extra": {"rows": 1, "reference_cache": str(cached)},
+        }
+
+    def test_simulate_quadrature_from_state_file(self, tmp_path):
+        state, out = tmp_path / "state.json", tmp_path / "x.csv"
+        qio.write_state(state, preset_state("vacuum", 2))
+        assert main(["simulate", "--state-file", str(state), "--n", "5", "--phases", "2", "--seed", "3",
+                     "--out", str(out)]) == 0
+        manifest, per_iteration = self._read(out)
+        assert per_iteration is None
+        assert manifest == {
+            "command": "simulate", "input_path": str(state), "output_paths": [str(out)],
+            "config": {"command": "simulate", "preset": "superposition01", "state_file": str(state),
+                       "out": str(out), "n": 5, "seed": 3, "phases": 2, "dim": 15, "format": "quadrature"},
+            "seed": 3, "rng_algorithm": "numpy.random.PCG64",
+            "extra": {"phases": [0.0, np.pi / 2], "samples": 5},
+        }
+
+    def test_simulate_counts(self, tmp_path):
+        out = tmp_path / "x.json"
+        assert main(["simulate", "--n", "10", "--dim", "2", "--format", "counts", "--out", str(out)]) == 0
+        manifest, per_iteration = self._read(out)
+        assert per_iteration is None
+        assert manifest == {
+            "command": "simulate", "input_path": None, "output_paths": [str(out)],
+            "config": {"command": "simulate", "preset": "superposition01", "state_file": None, "out": str(out),
+                       "n": 10, "seed": 0, "phases": 12, "dim": 2, "format": "counts"},
+            "seed": 0, "rng_algorithm": "numpy.random.PCG64",
+            "extra": {"povm": "computational basis projectors, dim 2", "outcomes": 2},
+        }
+
+
 _NUMBER = st.one_of(
     st.floats(min_value=1e-12, max_value=1e3).map(repr),
     st.sampled_from(["nan", "inf", "-inf", "0", "-1", "1e400", "1e-400", "abc", "", " 1 ", "1,"]),
