@@ -1,7 +1,7 @@
 """Command-line front end: reconstruct, sweep, simulate.
 
-Exit codes: 0 success, 2 input parse error, 3 validation error,
-4 non-convergence (outputs are still written, flagged in the result).
+Exit codes: 0 success, 2 input parse error, 3 validation error or an output
+that cannot be written, 4 non-convergence (outputs are still written, flagged in the result).
 All configuration is explicit on the command line; no environment variables
 are consulted.
 """
@@ -46,41 +46,32 @@ CONVERGED = (Termination.RESIDUAL_MET, Termination.ELEMENT_CHANGE_MET)
 REFERENCE_CACHE_FORMAT = 2
 
 
-def _manifest_path(out: Path) -> Path:
-    return out.with_name(out.name + ".manifest.json")
+def _fixed_epsilon(args) -> FixedEpsilon:
+    if args.epsilon is None:
+        raise ValidationError("--strategy fixed requires --epsilon")
+    return FixedEpsilon(epsilon=args.epsilon)
 
 
-def _build_strategy(args):
-    if args.strategy == "rhor":
-        return InfiniteRhoR()
-    if args.strategy == "fixed":
-        if args.epsilon is None:
-            raise ValidationError("--strategy fixed requires --epsilon")
-        return FixedEpsilon(epsilon=args.epsilon)
-    if args.strategy == "adaptive":
-        return AdaptiveBackoff()
-    if args.strategy == "linesearch":
-        return LineSearchEpsilon()
-    if args.strategy == "random":
-        return RandomEpsilon(
-            epsilon_max=args.epsilon if args.epsilon is not None else 10.0, seed=args.seed
-        )
-    raise ValidationError(f"unknown strategy {args.strategy!r}")
+# The --strategy choices, each with the step-size strategy it builds from the parsed flags.
+STRATEGIES = {
+    "rhor": lambda args: InfiniteRhoR(),
+    "fixed": _fixed_epsilon,
+    "adaptive": lambda args: AdaptiveBackoff(),
+    "linesearch": lambda args: LineSearchEpsilon(),
+    "random": lambda args: RandomEpsilon(epsilon_max=args.epsilon if args.epsilon is not None else 10.0,
+                                         seed=args.seed),
+}
 
 
 def _build_config(args) -> ReconstructionConfig:
     return ReconstructionConfig(
-        strategy=_build_strategy(args),
+        strategy=STRATEGIES[args.strategy](args),
         tol_residual=args.tol_residual,
         tol_element=args.tol_element,
         tol_loglik=args.tol_loglik,
         max_iterations=args.max_iters,
         g_correction=args.g_correction,
     )
-
-
-def _config_echo(args) -> dict:
-    return {k: v for k, v in vars(args).items() if k != "func"}
 
 
 def cmd_reconstruct(args) -> int:
@@ -93,18 +84,10 @@ def cmd_reconstruct(args) -> int:
     elapsed = time.perf_counter() - start
 
     io.write_result_json(out, result)
-    manifest = io.RunManifest(
-        command="reconstruct",
-        input_path=str(args.input),
-        output_paths=[str(out)],
-        config=_config_echo(args),
-        seed=args.seed,
-        rng_algorithm=RNG_ALGORITHM if args.strategy == "random" else None,
-        wall_seconds_total=elapsed,
-        wall_seconds_per_iteration=elapsed / result.iterations if result.iterations else None,
-        extra={"termination": result.termination.value, "iterations": result.iterations},
-    )
-    manifest.write(_manifest_path(out))
+    io.write_manifest(out, args, str(args.input), elapsed,
+                      {"termination": result.termination.value, "iterations": result.iterations},
+                      rng_algorithm=RNG_ALGORITHM if args.strategy == "random" else None,
+                      wall_seconds_per_iteration=elapsed / result.iterations if result.iterations else None)
 
     converged = result.termination in CONVERGED
     print(
@@ -180,15 +163,7 @@ def cmd_sweep(args) -> int:
     elapsed = time.perf_counter() - start
 
     io.write_sweep_csv(out, rows)
-    manifest = io.RunManifest(
-        command="sweep",
-        input_path=str(dataset_path),
-        output_paths=[str(out)],
-        config=_config_echo(args),
-        wall_seconds_total=elapsed,
-        extra={"rows": len(rows), "reference_cache": str(cache_file)},
-    )
-    manifest.write(_manifest_path(out))
+    io.write_manifest(out, args, str(dataset_path), elapsed, {"rows": len(rows), "reference_cache": str(cache_file)})
 
     for row in rows:
         eps = "inf" if math.isinf(row.epsilon) else f"{row.epsilon:g}"
@@ -221,17 +196,7 @@ def cmd_simulate(args) -> int:
         extra = {"povm": f"computational basis projectors, dim {dim}", "outcomes": dataset.n_outcomes}
     elapsed = time.perf_counter() - start
 
-    manifest = io.RunManifest(
-        command="simulate",
-        input_path=args.state_file,
-        output_paths=[str(out)],
-        config=_config_echo(args),
-        seed=args.seed,
-        rng_algorithm=RNG_ALGORITHM,
-        wall_seconds_total=elapsed,
-        extra=extra,
-    )
-    manifest.write(_manifest_path(out))
+    io.write_manifest(out, args, args.state_file, elapsed, extra, rng_algorithm=RNG_ALGORITHM)
     print(f"wrote {out}")
     return EXIT_OK
 
@@ -246,11 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     rec = sub.add_parser("reconstruct", help="estimate a state from a dataset file")
     rec.add_argument("input", help="dataset file (.json counts or .csv quadratures)")
     rec.add_argument("--out", required=True, help="result JSON path")
-    rec.add_argument(
-        "--strategy",
-        choices=["rhor", "fixed", "adaptive", "linesearch", "random"],
-        default="adaptive",
-    )
+    rec.add_argument("--strategy", choices=list(STRATEGIES), default="adaptive")
     rec.add_argument("--epsilon", type=float, default=None, help="step size (fixed) or cap (random)")
     rec.add_argument("--tol-residual", type=float, default=1e-8)
     rec.add_argument("--tol-element", type=float, default=1e-10)
@@ -294,11 +255,11 @@ def main(argv=None) -> int:
     except DataFormatError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except FileNotFoundError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except OSError as exc:  # readers raise DataFormatError, so this is an output that cannot be written
+        print(f"write error: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_VALIDATION
 
 

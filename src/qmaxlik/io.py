@@ -9,16 +9,16 @@ lossless. Every reader decodes its file as UTF-8 and reports a file it cannot
 read or decode as a ``DataFormatError`` naming the path. Every writer replaces
 its target atomically: the text goes to a temporary file in the target's
 directory, which is then renamed over it, so a failed write leaves any
-previous file intact.
+previous file intact and raises an ``OSError`` whose ``filename`` is the target.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field
 from io import StringIO
 from pathlib import Path
 
@@ -40,6 +40,17 @@ def _read_text(path: Path) -> str:
         raise DataFormatError(f"{path}: cannot read ({getattr(exc, 'strerror', None) or exc})") from exc
 
 
+def _read_json(path: Path) -> dict:
+    """The file's top-level JSON object; anything else is a ``DataFormatError`` naming the path."""
+    try:
+        payload = json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise DataFormatError(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(payload, dict):
+        raise DataFormatError(f"{path}: top level must be an object")
+    return payload
+
+
 def _write_atomic(path, text: str) -> None:
     """Write ``text`` to ``path`` through a temporary file beside it and ``os.replace``."""
     path = Path(path)
@@ -48,8 +59,15 @@ def _write_atomic(path, text: str) -> None:
         with temp.open("w", newline="") as handle:
             handle.write(text)
         os.replace(temp, path)
+    except OSError as exc:  # name the target, not the temporary file
+        raise OSError(exc.errno, exc.strerror or str(exc), str(path)) from exc
     finally:
-        temp.unlink(missing_ok=True)
+        with contextlib.suppress(FileNotFoundError, NotADirectoryError):  # no temporary file was made
+            temp.unlink()
+
+
+def _write_json(path, payload: dict) -> None:
+    _write_atomic(path, json.dumps(payload, indent=1) + "\n")
 
 
 def _csv_text(header: list[str], rows) -> str:
@@ -68,7 +86,7 @@ def _matrix_parts(m: np.ndarray) -> tuple[list[list[float]], list[list[float]]]:
     return m.real.tolist(), m.imag.tolist()
 
 
-def _matrix_from_parts(re, im, dim: int, where: str) -> np.ndarray:
+def _checked_parts(re, im, dim: int, where: str) -> tuple[np.ndarray, np.ndarray]:
     try:
         real = np.asarray(re, dtype=np.float64)
         imag = np.asarray(im, dtype=np.float64)
@@ -78,7 +96,12 @@ def _matrix_from_parts(re, im, dim: int, where: str) -> np.ndarray:
         raise DataFormatError(
             f"{where}: expected {dim}x{dim} re/im arrays, got {real.shape} and {imag.shape}"
         )
-    return real + 1j * imag
+    return real, imag
+
+
+def _complex(real: np.ndarray, imag: np.ndarray) -> np.ndarray:
+    with np.errstate(invalid="ignore"):  # 1j * inf has a NaN real part, which the element and state checks reject
+        return real + 1j * imag
 
 
 # ---------------------------------------------------------------------------
@@ -107,12 +130,7 @@ def parse_dataset(path, dim: int | None = None) -> MeasurementRecord:
 
 
 def _parse_counts_json(path: Path) -> Dataset:
-    try:
-        payload = json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"{path}: invalid JSON ({exc})") from exc
-    if not isinstance(payload, dict):
-        raise DataFormatError(f"{path}: top level must be an object")
+    payload = _read_json(path)
     try:
         dim = int(payload["dim"])
         records = payload["elements"]
@@ -122,7 +140,7 @@ def _parse_counts_json(path: Path) -> Dataset:
         raise DataFormatError(f"{path}: dim must be positive")
     if not isinstance(records, list) or not records:
         raise DataFormatError(f"{path}: 'elements' must be a non-empty list")
-    elements = np.empty((len(records), dim, dim), dtype=np.complex128)
+    real, imag = np.empty((2, len(records), dim, dim))
     counts = np.empty(len(records))
     for k, record in enumerate(records):
         where = f"{path}: element {k}"
@@ -133,8 +151,8 @@ def _parse_counts_json(path: Path) -> Dataset:
             re, im = record["re"], record["im"]
         except (KeyError, TypeError, ValueError) as exc:
             raise DataFormatError(f"{where}: need 're', 'im', and numeric 'count' ({exc})") from exc
-        elements[k] = _matrix_from_parts(re, im, dim, where)
-    return Dataset(elements=elements, counts=counts)
+        real[k], imag[k] = _checked_parts(re, im, dim, where)
+    return Dataset(elements=_complex(real, imag), counts=counts)
 
 
 def write_counts_dataset(path, dataset: MeasurementRecord) -> None:
@@ -142,8 +160,7 @@ def write_counts_dataset(path, dataset: MeasurementRecord) -> None:
     for element, count in zip(dataset.elements, dataset.counts):
         re, im = _matrix_parts(element)
         records.append({"re": re, "im": im, "count": float(count)})
-    payload = {"dim": dataset.dim, "elements": records}
-    _write_atomic(path, json.dumps(payload, indent=1) + "\n")
+    _write_json(path, {"dim": dataset.dim, "elements": records})
 
 
 def parse_quadrature_csv(path) -> tuple[np.ndarray, np.ndarray]:
@@ -183,56 +200,45 @@ def write_quadrature_csv(path, thetas, xs) -> None:
 def parse_state(path) -> np.ndarray:
     """Load a density matrix from JSON ``{dim, re, im}`` and validate it."""
     path = Path(path)
-    try:
-        payload = json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"{path}: invalid JSON ({exc})") from exc
+    payload = _read_json(path)
     try:
         dim = int(payload["dim"])
     except (KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"{path}: need integer 'dim' ({exc})") from exc
-    matrix = _matrix_from_parts(payload.get("re"), payload.get("im"), dim, str(path))
-    return validate_density(matrix)
+    return validate_density(_complex(*_checked_parts(payload.get("re"), payload.get("im"), dim, str(path))))
 
 
 def write_state(path, state: np.ndarray) -> None:
     re, im = _matrix_parts(np.asarray(state, dtype=np.complex128))
-    payload = {"dim": int(state.shape[0]), "re": re, "im": im}
-    _write_atomic(path, json.dumps(payload, indent=1) + "\n")
+    _write_json(path, {"dim": int(state.shape[0]), "re": re, "im": im})
 
 
 # ---------------------------------------------------------------------------
 # results and manifests
 
 
-def _epsilon_token(eps: float):
-    return float(eps) if math.isfinite(eps) else "inf"
-
-
 def write_result_json(path, result: ReconstructionResult) -> None:
     re, im = _matrix_parts(result.estimate)
-    payload = {
+    _write_json(path, {
         "dim": int(result.estimate.shape[0]),
         "estimate": {"re": re, "im": im},
         "log_likelihood_trace": [float(v) for v in result.log_likelihood_trace],
-        "epsilon_trace": [_epsilon_token(e) for e in result.epsilon_trace],
+        "epsilon_trace": [float(e) if math.isfinite(e) else "inf" for e in result.epsilon_trace],
         "final_residual": float(result.final_residual),
         "iterations": int(result.iterations),
         "termination": result.termination.value,
         "diagnostics": result.diagnostics,
-    }
-    _write_atomic(path, json.dumps(payload, indent=1) + "\n")
+    })
 
 
 def parse_result_estimate(path) -> np.ndarray:
-    text = _read_text(Path(path))
+    payload = _read_json(Path(path))
     try:
-        payload = json.loads(text)
         dim = int(payload["dim"])
         re, im = payload["estimate"]["re"], payload["estimate"]["im"]
-    except (KeyError, TypeError, ValueError) as exc:  # ValueError covers invalid JSON
+    except (KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"{path}: not a result file ({exc!r})") from exc
-    return _matrix_from_parts(re, im, dim, str(path))
+    return _complex(*_checked_parts(re, im, dim, str(path)))
 
 
 def write_sweep_csv(path, rows: list[SweepRow]) -> None:
@@ -241,19 +247,22 @@ def write_sweep_csv(path, rows: list[SweepRow]) -> None:
     _write_atomic(path, _csv_text(["epsilon", "tolerance", "iterations", "converged"], lines))
 
 
-@dataclass
-class RunManifest:
-    """Provenance record written next to every command's outputs."""
+def write_manifest(out, args, input_path: str | None, wall_seconds_total: float, extra: dict,
+                   rng_algorithm: str | None = None, wall_seconds_per_iteration: float | None = None) -> None:
+    """Write ``<out>.manifest.json``, the provenance record of a command that wrote ``out``.
 
-    command: str
-    input_path: str | None
-    output_paths: list[str]
-    config: dict
-    seed: int | None = None
-    rng_algorithm: str | None = None
-    wall_seconds_total: float = 0.0
-    wall_seconds_per_iteration: float | None = None
-    extra: dict = field(default_factory=dict)
-
-    def write(self, path) -> None:
-        _write_atomic(path, json.dumps(asdict(self), indent=1, default=str) + "\n")
+    ``args`` is the command's ``argparse.Namespace``. Its fields but ``func`` are
+    the config echo; it also gives the command and the seed (``None`` if none).
+    """
+    out = Path(out)
+    _write_json(out.with_name(out.name + ".manifest.json"), {
+        "command": args.command,
+        "input_path": input_path,
+        "output_paths": [str(out)],
+        "config": {k: v for k, v in vars(args).items() if k != "func"},
+        "seed": getattr(args, "seed", None),
+        "rng_algorithm": rng_algorithm,
+        "wall_seconds_total": wall_seconds_total,
+        "wall_seconds_per_iteration": wall_seconds_per_iteration,
+        "extra": extra,
+    })

@@ -56,6 +56,14 @@ class TestDataset:
         with pytest.raises(ValidationError):
             Dataset(elements=np.eye(2, dtype=complex)[None], counts=np.array([1.0, 2.0]))
 
+    @pytest.mark.parametrize("part", ["real", "imag"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_element(self, part, value):
+        element = np.eye(2, dtype=complex) / 2
+        getattr(element, part)[0, 1] = value
+        with pytest.raises(ValidationError, match="must be finite"):
+            Dataset(elements=np.stack([element, np.eye(2) / 2]), counts=np.array([1.0, 1.0]))
+
 
 
 class TestGOperator:

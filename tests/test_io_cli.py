@@ -199,6 +199,18 @@ class TestCliReconstruct:
         estimate = qio.parse_result_estimate(out)
         assert np.max(np.abs(estimate - np.diag([1 / 3, 2 / 3]))) <= 1e-6
 
+    @pytest.mark.parametrize("part, value", [("re", float("nan")), ("im", float("inf"))])
+    def test_non_finite_element_exit_three(self, tmp_path, capsys, part, value):
+        path = tmp_path / "nan.json"
+        element = {"re": [[0.5, 0.0], [0.0, 0.5]], "im": [[0.0, 0.0], [0.0, 0.0]], "count": 1.0}
+        element[part][0][1] = value
+        path.write_text(json.dumps({"dim": 2, "elements": [element]}))
+        out = tmp_path / "o.json"
+        assert main(["reconstruct", str(path), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err == "validation error: measurement elements must be finite\n"
+        assert not out.exists()
+
     def test_json_dim_mismatch_exit_two(self, tmp_path, counterexample_json):
         out = tmp_path / "o.json"
         assert main(["reconstruct", str(counterexample_json), "--dim", "7", "--out", str(out)]) == 2
@@ -216,6 +228,32 @@ class TestCliReconstruct:
         assert main(args + ["--out", str(out1)]) in (0, 4)
         assert main(args + ["--out", str(out2)]) in (0, 4)
         assert out1.read_bytes() == out2.read_bytes()
+
+
+class TestUnwritableOutput:
+    """An output that cannot be written is one line naming it and the reason: exit 3, no temporary file left."""
+
+    @pytest.mark.parametrize(
+        "argv, target, reason",
+        [
+            (["reconstruct", "{data}", "--out", "{tmp}/folder"], "folder", "Is a directory"),
+            (["reconstruct", "{data}", "--out", "{tmp}/missing/r.json"], "missing/r.json", "No such file"),
+            (["reconstruct", "{data}", "--out", "{tmp}/plain/r.json"], "plain/r.json", "Not a directory"),
+            (["simulate", "--n", "10", "--out", "{tmp}/missing/x.csv"], "missing/x.csv", "No such file"),
+            (["sweep", "{data}", "--cache-dir", "{tmp}/plain", "--out", "{tmp}/s.csv"], "plain", "File exists"),
+            (["sweep", "{data}", "--cache-dir", "{tmp}/plain/sub", "--out", "{tmp}/s.csv"], "plain/sub",
+             "Not a directory"),
+        ],
+    )
+    def test_exit_three_with_one_line(self, tmp_path, capsys, counterexample_json, argv, target, reason):
+        (tmp_path / "folder").mkdir()
+        (tmp_path / "plain").write_text("a regular file\n")
+        argv = [arg.format(data=counterexample_json, tmp=tmp_path) for arg in argv]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"write error: {tmp_path / target}: {reason}"), err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not [p for p in tmp_path.rglob("*") if p.name.endswith(".tmp")]
 
 
 class TestUnreadableInput:
@@ -557,17 +595,20 @@ def _decodes(payload: bytes) -> bool:
     fmt=st.sampled_from(["quadrature", "counts"]),
     payload=_FILE_BYTES,
     suffix=st.sampled_from([".csv", ".json"]),
+    out_kind=st.sampled_from(["fresh", "directory", "missing_parent"]),
 )
-def test_cli_flag_fuzz(tmp_path_factory, command, lists, tolerances, dim, counts, fmt, payload, suffix):
-    """Any list, tolerance, count, --dim value or input file ends in a documented exit code, never a traceback."""
+def test_cli_flag_fuzz(tmp_path_factory, command, lists, tolerances, dim, counts, fmt, payload, suffix, out_kind):
+    """Any list, tolerance, count, --dim, input file or --out ends in a documented exit code, never a traceback."""
     workdir = tmp_path_factory.mktemp("fuzz")
+    out = workdir / {"fresh": "out", "directory": "folder", "missing_parent": "missing/out"}[out_kind]
+    (workdir / "folder").mkdir()
     data = workdir / "qubit.json"
     qio.write_counts_dataset(data, counterexample_dataset())
     if payload is not None:  # random bytes as the input file, or as --state-file for simulate
         data = workdir / f"input{suffix}"
         data.write_bytes(payload)
     n, phases, max_iters = counts
-    argv = [command, str(data), "--out", str(workdir / "out")]
+    argv = [command, str(data), "--out", str(out)]
     if command == "reconstruct":
         flags = ["--tol-residual", "--tol-element", "--tol-loglik"]
         argv += [f"{flag}={value}" for flag, value in zip(flags, tolerances)] + ["--max-iters", "20"]
@@ -575,7 +616,7 @@ def test_cli_flag_fuzz(tmp_path_factory, command, lists, tolerances, dim, counts
         argv += [f"{flag}={value}" for flag, value in zip(["--epsilons", "--tolerances"], lists) if value is not None]
         argv.append(f"--max-iters={max_iters}")
     else:
-        argv = [command, "--out", str(workdir / "out"), f"--n={n}", f"--phases={phases}", f"--format={fmt}"]
+        argv = [command, "--out", str(out), f"--n={n}", f"--phases={phases}", f"--format={fmt}"]
         if payload is not None:
             argv.append(f"--state-file={data}")
     if dim is not None:
@@ -594,6 +635,9 @@ def test_cli_flag_fuzz(tmp_path_factory, command, lists, tolerances, dim, counts
         assert code in (2, 3)
     if payload is not None and not _decodes(payload):
         assert code == 2
+    if out_kind == "directory" or (out_kind == "missing_parent" and command != "sweep"):
+        assert code != 0  # a sweep's default cache directory makes a missing parent, so its write can succeed
+    assert not [p for p in workdir.rglob("*") if p.name.endswith(".tmp")]
 
 
 class TestStateFiles:
