@@ -12,7 +12,6 @@ from .engine import (
     AdaptiveBackoff,
     EpsilonStrategy,
     FixedEpsilon,
-    InfiniteRhoR,
     LineSearchEpsilon,
     RandomEpsilon,
     ReconstructionConfig,
@@ -21,13 +20,11 @@ from .engine import (
     choose_epsilon_line_search,
     diluted_step,
     extremal_residual,
-    g_corrected_step,
     likelihood_gain_first_order,
     log_likelihood,
     outcome_probabilities,
     r_operator,
     reconstruct,
-    rhor_step,
 )
 from .errors import ConvergenceError, DataFormatError, ValidationError
 from .operators import (
@@ -58,7 +55,6 @@ __all__ = [
     "EpsilonStrategy",
     "FixedEpsilon",
     "GOperator",
-    "InfiniteRhoR",
     "LineSearchEpsilon",
     "QuadratureDataset",
     "RandomEpsilon",
@@ -74,7 +70,6 @@ __all__ = [
     "eigendecompose",
     "extremal_residual",
     "fidelity",
-    "g_corrected_step",
     "harmonic_wavefunction",
     "hermitize",
     "likelihood_gain_first_order",
@@ -88,7 +83,6 @@ __all__ = [
     "r_operator",
     "reconstruct",
     "reference_solution",
-    "rhor_step",
     "run_sweep",
     "sample_counts",
     "sample_quadratures",

@@ -22,7 +22,6 @@ from .engine import (
     PROBABILITY_FLOOR,
     AdaptiveBackoff,
     FixedEpsilon,
-    InfiniteRhoR,
     LineSearchEpsilon,
     RandomEpsilon,
     ReconstructionConfig,
@@ -54,7 +53,7 @@ def _fixed_epsilon(args) -> FixedEpsilon:
 
 # The --strategy choices, each with the step-size strategy it builds from the parsed flags.
 STRATEGIES = {
-    "rhor": lambda args: InfiniteRhoR(),
+    "rhor": lambda args: FixedEpsilon(math.inf),
     "fixed": _fixed_epsilon,
     "adaptive": lambda args: AdaptiveBackoff(),
     "linesearch": lambda args: LineSearchEpsilon(),
@@ -77,7 +76,7 @@ def _build_config(args) -> ReconstructionConfig:
 def cmd_reconstruct(args) -> int:
     dataset = io.parse_dataset(args.input, dim=args.dim)
     config = _build_config(args)
-    out = Path(args.out)
+    out = io.writable_path(args.out)
 
     start = time.perf_counter()
     result = reconstruct(dataset, config)
@@ -143,7 +142,7 @@ def cmd_sweep(args) -> int:
     dataset = io.parse_dataset(dataset_path, dim=args.dim)
     epsilons = _parse_float_list(args.epsilons, allow_inf=True)
     tolerances = _parse_float_list(args.tolerances, allow_inf=False)
-    out = Path(args.out)
+    out = io.writable_path(args.out)
     cache_dir = Path(args.cache_dir) if args.cache_dir else out.parent / ".sweep-cache"
 
     start = time.perf_counter()
@@ -179,12 +178,12 @@ def cmd_simulate(args) -> int:
     else:
         state = preset_state(args.preset, dim)
     spec = SimulationSpec(state=state, seed=args.seed, count=args.n)
-    out = Path(args.out)
+    if args.format == "quadrature" and args.phases < 1:
+        raise ValidationError("--phases must be at least 1")
+    out = io.writable_path(args.out)
 
     start = time.perf_counter()
     if args.format == "quadrature":
-        if args.phases < 1:
-            raise ValidationError("--phases must be at least 1")
         phases = np.linspace(0.0, np.pi, args.phases, endpoint=False)
         thetas, xs = sample_quadratures(spec, phases, dim)
         io.write_quadrature_csv(out, thetas, xs)

@@ -7,7 +7,6 @@ homodyne data with count 1 each) all fit the same container.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
 
 import numpy as np
 
@@ -31,7 +30,9 @@ def _checked_counts(counts, n_outcomes: int) -> np.ndarray:
     return counts
 
 
-class _Counted:
+class MeasurementRecord:
+    """Outcomes with counts; each record also gives dim, elements, element_sum, traces and weighted_sum."""
+
     counts: np.ndarray
 
     @property
@@ -45,7 +46,7 @@ class _Counted:
 
 
 @dataclass(frozen=True)
-class Dataset(_Counted):
+class Dataset(MeasurementRecord):
     """Stack of measurement elements with the number of occurrences of each outcome.
 
     Attributes
@@ -101,7 +102,7 @@ POOLED_BELOW = 64
 
 
 @dataclass(frozen=True)
-class QuadratureDataset(_Counted):
+class QuadratureDataset(MeasurementRecord):
     """Homodyne record in factored form, one rank-1 element per sample.
 
     Sample k is the element |chi_k><chi_k| with Fock amplitudes
@@ -192,9 +193,6 @@ class QuadratureDataset(_Counted):
         for block, w, twist in zip(self._blocks, grouped, self._twists):
             total += (block.T @ (w[:, None] * block)) * twist.conj()
         return total
-
-
-MeasurementRecord = Union[Dataset, QuadratureDataset]
 
 
 @dataclass(frozen=True)

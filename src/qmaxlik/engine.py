@@ -24,7 +24,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import ClassVar, NamedTuple, Union
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -40,13 +40,14 @@ CYCLE_ATOL = 1e-10
 LINE_SEARCH_GRID = np.geomspace(1e-3, 1e3, 25)
 GOLDEN_STEPS = 20
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+MAX_RETRIES = 60  # finite eps values AdaptiveBackoff and RandomEpsilon try per step before a stall
 
 
 # ---------------------------------------------------------------------------
 # step-size strategies
 
 
-class _Strategy:
+class EpsilonStrategy:
     """A strategy is the eps values each step tries, and whether a trial must raise the objective.
 
     ``_trial_epsilons(dataset, g)`` is called once per run and returns a
@@ -61,16 +62,8 @@ class _Strategy:
 
 
 @dataclass(frozen=True)
-class InfiniteRhoR(_Strategy):
-    """Plain quadratic update every step; fastest, but monotonicity is not guaranteed."""
-
-    def _trial_epsilons(self, dataset, g):
-        return lambda state: (math.inf,)
-
-
-@dataclass(frozen=True)
-class FixedEpsilon(_Strategy):
-    """Diluted update with the same eps at every step."""
+class FixedEpsilon(EpsilonStrategy):
+    """Diluted update with the same eps at every step; eps = inf is the plain quadratic update (no guarantee)."""
 
     epsilon: float
 
@@ -83,20 +76,14 @@ class FixedEpsilon(_Strategy):
 
 
 @dataclass(frozen=True)
-class AdaptiveBackoff(_Strategy):
+class AdaptiveBackoff(EpsilonStrategy):
     """Try the quadratic update first; on a likelihood non-increase retry with
-    eps = 1, 1/2, 1/4, ... (max_retries values) until some step raises the likelihood."""
-
-    max_retries: int = 60
+    eps = 1, 1/2, 1/4, ... (MAX_RETRIES values) until some step raises the likelihood."""
 
     _stall_reason = "no step-size trial increased the likelihood"
 
-    def __post_init__(self):
-        if self.max_retries < 1:
-            raise ValidationError("max_retries must be at least 1")
-
     def _trial_epsilons(self, dataset, g):
-        trials = [math.inf] + [0.5**k for k in range(self.max_retries)]
+        trials = [math.inf] + [0.5**k for k in range(MAX_RETRIES)]
         return lambda state: trials
 
     def _stall_diagnostics(self, tried: list[float], best_delta: float) -> dict:
@@ -104,7 +91,7 @@ class AdaptiveBackoff(_Strategy):
 
 
 @dataclass(frozen=True)
-class LineSearchEpsilon(_Strategy):
+class LineSearchEpsilon(EpsilonStrategy):
     """Maximize the actual likelihood gain over eps at every step (see ``choose_epsilon_line_search``)."""
 
     def _trial_epsilons(self, dataset, g):
@@ -112,12 +99,11 @@ class LineSearchEpsilon(_Strategy):
 
 
 @dataclass(frozen=True)
-class RandomEpsilon(_Strategy):
+class RandomEpsilon(EpsilonStrategy):
     """Draw eps log-uniformly from (1e-4, epsilon_max], redrawing until the
-    likelihood increases (up to max_retries attempts per step)."""
+    likelihood increases (up to MAX_RETRIES attempts per step)."""
 
     epsilon_max: float = 10.0
-    max_retries: int = 60
     seed: int = 0
 
     _stall_reason = "no random step size increased the likelihood"
@@ -125,20 +111,19 @@ class RandomEpsilon(_Strategy):
     def __post_init__(self):
         if not self.epsilon_max > 1e-4:
             raise ValidationError("epsilon_max must exceed the 1e-4 lower sampling bound")
-        if self.max_retries < 1:
-            raise ValidationError("max_retries must be at least 1")
+        if math.isinf(self.epsilon_max):
+            raise ValidationError("epsilon_max must be finite")
+        if self.seed < 0:
+            raise ValidationError("seed must be non-negative")
 
     def _trial_epsilons(self, dataset, g):
         rng = np.random.default_rng(self.seed)  # one stream per run, drawn only as trials are tried
 
         def draws(state):
-            for _ in range(self.max_retries):
+            for _ in range(MAX_RETRIES):
                 yield math.exp(rng.uniform(math.log(1e-4), math.log(self.epsilon_max)))
 
         return draws
-
-
-EpsilonStrategy = Union[InfiniteRhoR, FixedEpsilon, AdaptiveBackoff, LineSearchEpsilon, RandomEpsilon]
 
 
 class Termination(enum.Enum):
@@ -210,7 +195,6 @@ def log_likelihood(rho, dataset: MeasurementRecord) -> float:
 
 def r_operator(rho, dataset: MeasurementRecord) -> np.ndarray:
     """(1/N) sum_j (f_j / pr_j) Pi_j for the current state; Hermitian PSD."""
-    rho = _check_dims(rho, dataset)
     return _r_from_probs(dataset, outcome_probabilities(rho, dataset))
 
 
@@ -220,34 +204,18 @@ def _r_from_probs(dataset: MeasurementRecord, probs: np.ndarray) -> np.ndarray:
 
 def _apply_map(rho: np.ndarray, b: np.ndarray, eps: float) -> np.ndarray:
     """normalize(M rho M^dag) with M = (1 + eps*b)/(1 + eps), or M = b at eps = inf."""
-    if math.isinf(eps):
-        m = b
-    else:
-        m = (np.eye(b.shape[0]) + eps * b) / (1.0 + eps)
+    m = b if math.isinf(eps) else (np.eye(b.shape[0]) + eps * b) / (1.0 + eps)
     return normalize(hermitize(m @ rho @ m.conj().T))
 
 
-def rhor_step(rho, dataset: MeasurementRecord) -> np.ndarray:
-    """One plain quadratic update: normalize(R rho R)."""
-    rho = _check_dims(rho, dataset)
-    return _apply_map(rho, r_operator(rho, dataset), math.inf)
+def diluted_step(rho, dataset: MeasurementRecord, eps: float, g: GOperator | None = None) -> np.ndarray:
+    """One diluted update normalize(M rho M^dag), M = (1 + eps R)/(1 + eps).
 
-
-def diluted_step(rho, dataset: MeasurementRecord, eps: float) -> np.ndarray:
-    """One diluted update with blending weight ``eps`` (eps = inf reproduces rhor_step)."""
-    if not eps > 0:
-        raise ValidationError("eps must be positive")
-    rho = _check_dims(rho, dataset)
-    return _apply_map(rho, r_operator(rho, dataset), eps)
-
-
-def g_corrected_step(rho, dataset: MeasurementRecord, g: GOperator, eps: float) -> np.ndarray:
-    """One debiased update blending G^-1 R with the identity.
-
-    normalize(M rho M^dag) with M = (1 + eps G^-1 R)/(1 + eps); at eps = inf
-    this is normalize(G^-1 R rho R G^-1). The debiased maximum-likelihood
-    state is a fixed point for every eps, and G = identity reduces the map to
-    ``diluted_step`` exactly.
+    eps = inf is the plain quadratic update normalize(R rho R). Given ``g``,
+    the step is the debiased update blending G^-1 R with the identity instead
+    of R; at eps = inf this is normalize(G^-1 R rho R G^-1). The debiased
+    maximum-likelihood state is a fixed point for every eps, and G = identity
+    reduces the map to the uncorrected one exactly.
     """
     if not eps > 0:
         raise ValidationError("eps must be positive")
@@ -404,7 +372,7 @@ def _iterate(dataset: MeasurementRecord, strategy: EpsilonStrategy, g: GOperator
     that raises the objective. When it accepts none, the last step yielded
     repeats the current state with the stall diagnostics.
     """
-    if not hasattr(strategy, "_trial_epsilons"):
+    if not isinstance(strategy, EpsilonStrategy):
         raise ValidationError(f"unknown step-size strategy {strategy!r}")
     trial_epsilons = strategy._trial_epsilons(dataset, g)
     state = _step_at(np.eye(dataset.dim, dtype=np.complex128) / dataset.dim, dataset, g)

@@ -16,9 +16,11 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import errno
 import json
 import math
 import os
+import tempfile
 from io import StringIO
 from pathlib import Path
 
@@ -49,6 +51,22 @@ def _read_json(path: Path) -> dict:
     if not isinstance(payload, dict):
         raise DataFormatError(f"{path}: top level must be an object")
     return payload
+
+
+def writable_path(path) -> Path:
+    """``path`` as a ``Path``, after raising now the ``OSError`` that writing it would raise.
+
+    Commands call this before they start work. The probe is a temporary file
+    beside the target that is removed on close, so it leaves nothing behind.
+    """
+    path = Path(path)
+    try:
+        if path.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        tempfile.TemporaryFile(dir=path.parent).close()
+    except OSError as exc:  # name the target, as the writer does
+        raise OSError(exc.errno, exc.strerror or str(exc), str(path)) from exc
+    return path
 
 
 def _write_atomic(path, text: str) -> None:

@@ -37,6 +37,8 @@ class SimulationSpec:
         object.__setattr__(self, "state", validate_density(self.state))
         if self.count < 1:
             raise ValidationError("sample count must be at least 1")
+        if self.seed < 0:
+            raise ValidationError("seed must be non-negative")
 
 
 def sample_counts(spec: SimulationSpec, povm) -> Dataset:

@@ -16,7 +16,6 @@ from qmaxlik import (
     Dataset,
     FixedEpsilon,
     GOperator,
-    InfiniteRhoR,
     LineSearchEpsilon,
     ReconstructionConfig,
     SimulationSpec,
@@ -24,7 +23,6 @@ from qmaxlik import (
     counterexample_dataset,
     diluted_step,
     fidelity,
-    g_corrected_step,
     likelihood_gain_first_order,
     log_likelihood,
     preset_state,
@@ -33,7 +31,6 @@ from qmaxlik import (
     r_operator,
     reconstruct,
     reference_solution,
-    rhor_step,
     sample_quadratures,
     sweep_iteration_counts,
     validate_density,
@@ -57,9 +54,9 @@ def criterion(number, description):
 def test_criterion_1_counterexample_two_cycle():
     with criterion(1, "quadratic update two-cycle with exact matrices and likelihood drop"):
         d = counterexample_dataset()
-        step1 = rhor_step(UNIFORM, d)
+        step1 = diluted_step(UNIFORM, d, math.inf)
         assert np.max(np.abs(step1 - np.diag([1 / 5, 4 / 5]))) <= 1e-12
-        step2 = rhor_step(step1, d)
+        step2 = diluted_step(step1, d, math.inf)
         assert np.max(np.abs(step2 - UNIFORM)) <= 1e-12
         drop = log_likelihood(step1, d) - log_likelihood(step2, d)
         expected = math.log(1 / 5) + 2 * math.log(4 / 5) - 3 * math.log(1 / 2)
@@ -134,7 +131,7 @@ def test_criterion_6_infinite_eps_consistency():
         rng = np.random.default_rng(2026)
         for _ in range(100):
             rho, d = random_instance(rng)
-            gap = np.max(np.abs(diluted_step(rho, d, 1e8) - rhor_step(rho, d)))
+            gap = np.max(np.abs(diluted_step(rho, d, 1e8) - diluted_step(rho, d, math.inf)))
             assert gap <= 1e-6
 
 
@@ -150,7 +147,7 @@ def test_criterion_7_synthetic_homodyne_end_to_end():
         plain = reconstruct(
             dataset,
             ReconstructionConfig(
-                strategy=InfiniteRhoR(), tol_residual=1e-8, tol_element=1e-9, max_iterations=2000
+                strategy=FixedEpsilon(math.inf), tol_residual=1e-8, tol_element=1e-9, max_iterations=2000
             ),
         )
         assert fidelity(plain.estimate, true_state) >= 0.98
@@ -178,7 +175,7 @@ def test_criterion_8_g_corrected_fixed_point():
         # brute-force oracle: scan diagonal qubit states for fixed points of each map
         ps = np.linspace(0.02, 0.98, 4801)
         corrected_gap = [
-            np.max(np.abs(g_corrected_step(np.diag([p, 1 - p]).astype(complex), d, g, math.inf)
+            np.max(np.abs(diluted_step(np.diag([p, 1 - p]).astype(complex), d, math.inf, g)
                           - np.diag([p, 1 - p])))
             for p in ps
         ]

@@ -8,7 +8,6 @@ from qmaxlik import (
     Dataset,
     FixedEpsilon,
     GOperator,
-    InfiniteRhoR,
     LineSearchEpsilon,
     RandomEpsilon,
     ReconstructionConfig,
@@ -17,14 +16,13 @@ from qmaxlik import (
     choose_epsilon_line_search,
     counterexample_dataset,
     diluted_step,
+    engine,
     extremal_residual,
-    g_corrected_step,
     likelihood_gain_first_order,
     log_likelihood,
     outcome_probabilities,
     r_operator,
     reconstruct,
-    rhor_step,
 )
 from support import random_dataset, random_density, random_instance
 
@@ -95,13 +93,13 @@ class TestROperator:
 
 class TestSteps:
     def test_rhor_two_cycle(self, qubit_record):
-        first = rhor_step(UNIFORM, qubit_record)
+        first = diluted_step(UNIFORM, qubit_record, math.inf)
         np.testing.assert_allclose(first, STEP1, atol=1e-12)
-        second = rhor_step(first, qubit_record)
+        second = diluted_step(first, qubit_record, math.inf)
         np.testing.assert_allclose(second, UNIFORM, atol=1e-12)
 
     def test_rhor_fixed_point(self, qubit_record):
-        np.testing.assert_allclose(rhor_step(MLE, qubit_record), MLE, atol=1e-12)
+        np.testing.assert_allclose(diluted_step(MLE, qubit_record, math.inf), MLE, atol=1e-12)
 
     def test_diluted_identity_limit(self, qubit_record):
         out = diluted_step(UNIFORM, qubit_record, 1e-12)
@@ -158,14 +156,14 @@ class TestGCorrectedStep:
     def test_identity_g_matches_diluted(self, qubit_record):
         g = GOperator.from_dataset(qubit_record)
         for eps in (0.3, 1.0, 7.0, math.inf):
-            corrected = g_corrected_step(UNIFORM, qubit_record, g, eps)
-            plain = diluted_step(UNIFORM, qubit_record, eps) if math.isfinite(eps) else rhor_step(UNIFORM, qubit_record)
+            corrected = diluted_step(UNIFORM, qubit_record, eps, g)
+            plain = diluted_step(UNIFORM, qubit_record, eps)
             np.testing.assert_allclose(corrected, plain, atol=1e-15)
 
     def test_debiased_fixed_point_every_eps(self, incomplete_record):
         d, g = incomplete_record
         for eps in (0.01, 1.0, 100.0, math.inf):
-            out = g_corrected_step(MLE, d, g, eps)
+            out = diluted_step(MLE, d, eps, g)
             assert np.max(np.abs(out - MLE)) <= 1e-12
 
     def test_uncorrected_map_has_other_fixed_point(self, incomplete_record):
@@ -186,7 +184,7 @@ class TestGCorrectedStep:
         gaps = []
         for p in ps:
             rho = np.diag([p, 1 - p]).astype(complex)
-            gaps.append(np.max(np.abs(g_corrected_step(rho, d, g, math.inf) - rho)))
+            gaps.append(np.max(np.abs(diluted_step(rho, d, math.inf, g) - rho)))
         fixed = ps[int(np.argmin(gaps))]
         assert abs(fixed - 1 / 3) < 1e-3
 
@@ -249,9 +247,18 @@ def test_config_rejects_non_positive_tolerance(name, value):
         ReconstructionConfig(**{name: value})
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [({"epsilon_max": math.inf}, "epsilon_max must be finite"), ({"seed": -1}, "seed must be non-negative")],
+)
+def test_random_epsilon_rejects(kwargs, message):
+    with pytest.raises(ValidationError, match=message):
+        RandomEpsilon(**kwargs)
+
+
 class TestReconstruct:
     def test_rhor_detects_cycle(self, qubit_record):
-        res = reconstruct(qubit_record, ReconstructionConfig(strategy=InfiniteRhoR(), max_iterations=100))
+        res = reconstruct(qubit_record, ReconstructionConfig(strategy=FixedEpsilon(math.inf), max_iterations=100))
         assert res.termination is Termination.CYCLE_DETECTED
         trace = res.log_likelihood_trace
         assert trace[2] < trace[1]  # the second step decreases the likelihood
@@ -358,19 +365,19 @@ REGRESSION_DATASETS = {
     "povm3": random_dataset(np.random.default_rng(3), dim=3, n_outcomes=10),
 }
 REGRESSION_STRATEGIES = {
-    "rhor": InfiniteRhoR(),
+    "rhor": FixedEpsilon(math.inf),
     "fixed": FixedEpsilon(2.0),
     "adaptive": AdaptiveBackoff(),
     "linesearch": LineSearchEpsilon(),
     "random": RandomEpsilon(seed=4),
-    "adaptive1": AdaptiveBackoff(max_retries=1),
-    "random1": RandomEpsilon(max_retries=1),
+    "adaptive1": AdaptiveBackoff(),
+    "random1": RandomEpsilon(),
 }
 
 # (dataset, strategy, g_correction) -> (termination, iterations, quadratic steps,
 # sum of log eps over the finite steps, (diagnostics keys, reason, trials) or None).
 # With G-correction the random POVMs lose their last element, so G != identity.
-# The single-retry strategies run with tolerances too tight to meet, so the
+# The single-retry strategies (engine.MAX_RETRIES = 1) run with tolerances too tight to meet, so the
 # stall after a failed trial ends the run.
 REGRESSION_TABLE = {
     ("qubit", "rhor", False): (
@@ -428,12 +435,14 @@ REGRESSION_TABLE = {
 
 
 @pytest.mark.parametrize("case", sorted(REGRESSION_TABLE), ids=lambda c: "-".join(map(str, c)))
-def test_loop_regression_table(case):
+def test_loop_regression_table(case, monkeypatch):
     name, strategy, g = case
     d = REGRESSION_DATASETS[name]
     if g and name != "qubit":
         d = Dataset(elements=d.elements[:-1], counts=d.counts[:-1])
     tight = strategy.endswith("1")
+    if tight:
+        monkeypatch.setattr(engine, "MAX_RETRIES", 1)
     config = ReconstructionConfig(
         strategy=REGRESSION_STRATEGIES[strategy],
         g_correction=g,

@@ -4,10 +4,11 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qmaxlik import DataFormatError, counterexample_dataset, fidelity, preset_state
+from qmaxlik import cli
 from qmaxlik import io as qio
 from qmaxlik.cli import main
 
@@ -243,6 +244,7 @@ class TestUnwritableOutput:
             (["sweep", "{data}", "--cache-dir", "{tmp}/plain", "--out", "{tmp}/s.csv"], "plain", "File exists"),
             (["sweep", "{data}", "--cache-dir", "{tmp}/plain/sub", "--out", "{tmp}/s.csv"], "plain/sub",
              "Not a directory"),
+            (["sweep", "{data}", "--out", "{tmp}/missing/s.csv"], "missing/s.csv", "No such file"),
         ],
     )
     def test_exit_three_with_one_line(self, tmp_path, capsys, counterexample_json, argv, target, reason):
@@ -254,6 +256,42 @@ class TestUnwritableOutput:
         assert err.startswith(f"write error: {tmp_path / target}: {reason}"), err
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not [p for p in tmp_path.rglob("*") if p.name.endswith(".tmp")]
+
+    @pytest.mark.parametrize("command", ["reconstruct", "sweep"])
+    def test_checked_before_the_solve(self, tmp_path, capsys, monkeypatch, counterexample_json, command):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the solver ran")
+
+        monkeypatch.setattr(cli, "reconstruct", refuse)
+        monkeypatch.setattr(cli, "reference_solution", refuse)
+        (tmp_path / "folder").mkdir()
+        assert main([command, str(counterexample_json), "--out", str(tmp_path / "folder")]) == 3
+        assert capsys.readouterr().err == f"write error: {tmp_path / 'folder'}: Is a directory\n"
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["folder", counterexample_json.name]
+
+
+class TestStrategyFlags:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["reconstruct", "{data}", "--strategy", "random", "--seed", "-1"], "seed must be non-negative"),
+            (["reconstruct", "{data}", "--strategy", "random", "--epsilon", "inf"], "epsilon_max must be finite"),
+            (["simulate", "--n", "10", "--seed", "-1"], "seed must be non-negative"),
+        ],
+    )
+    def test_exit_three_with_one_line(self, tmp_path, capsys, counterexample_json, argv, message):
+        out = tmp_path / "out.json"
+        assert main([arg.format(data=counterexample_json) for arg in argv] + ["--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"validation error: {message}\n"
+        assert not out.exists()
+
+    def test_fixed_infinite_epsilon_writes_the_rhor_result(self, tmp_path, counterexample_json):
+        results = []
+        for flags in (["--strategy", "rhor"], ["--strategy", "fixed", "--epsilon", "inf"]):
+            out = tmp_path / f"{flags[1]}.json"
+            assert main(["reconstruct", str(counterexample_json), "--out", str(out)] + flags) == 4
+            results.append(out.read_bytes())
+        assert results[0] == results[1]
 
 
 class TestUnreadableInput:
@@ -568,7 +606,7 @@ _NUMBER = st.one_of(
 )
 _LIST = st.lists(_NUMBER, max_size=3).map(",".join)
 _DIM = st.one_of(st.none(), st.just("2"), st.sampled_from(["-1", "0", "3", "x", "2.5", ""]))
-_COUNT = st.integers(min_value=-3, max_value=4)  # --n, --phases and --max-iters, including 0 and negatives
+_COUNT = st.integers(min_value=-3, max_value=4)  # --n, --phases, --max-iters and --seed, including 0 and negatives
 _FILE_BYTES = st.one_of(  # None keeps the valid qubit JSON input
     st.none(),
     st.binary(max_size=48),
@@ -585,7 +623,15 @@ def _decodes(payload: bytes) -> bool:
     return True
 
 
+# Valid inputs but for one strategy flag; random draws seldom reach these with a readable input file.
+_VALID = dict(lists=(None, None), tolerances=("1e-8",) * 3, dim=None, counts=(10, 2, 5), fmt="quadrature",
+              payload=None, suffix=".json", out_kind="fresh", epsilon=None, seed=0)
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@example(command="reconstruct", strategy="random", **{**_VALID, "seed": -1})
+@example(command="reconstruct", strategy="random", **{**_VALID, "epsilon": "inf"})
+@example(command="simulate", strategy="random", **{**_VALID, "seed": -1})
 @given(
     command=st.sampled_from(["reconstruct", "sweep", "simulate"]),
     lists=st.tuples(st.none() | _LIST, st.none() | _LIST),  # None keeps the flag's default
@@ -596,9 +642,14 @@ def _decodes(payload: bytes) -> bool:
     payload=_FILE_BYTES,
     suffix=st.sampled_from([".csv", ".json"]),
     out_kind=st.sampled_from(["fresh", "directory", "missing_parent"]),
+    strategy=st.sampled_from(["rhor", "fixed", "adaptive", "linesearch", "random"]),
+    epsilon=st.none() | _NUMBER,  # None leaves --epsilon out
+    seed=_COUNT,
 )
-def test_cli_flag_fuzz(tmp_path_factory, command, lists, tolerances, dim, counts, fmt, payload, suffix, out_kind):
-    """Any list, tolerance, count, --dim, input file or --out ends in a documented exit code, never a traceback."""
+def test_cli_flag_fuzz(tmp_path_factory, command, lists, tolerances, dim, counts, fmt, payload, suffix, out_kind,
+                       strategy, epsilon, seed):
+    """Any list, tolerance, count, strategy flag, --dim, input file or --out ends in a documented exit code,
+    never a traceback."""
     workdir = tmp_path_factory.mktemp("fuzz")
     out = workdir / {"fresh": "out", "directory": "folder", "missing_parent": "missing/out"}[out_kind]
     (workdir / "folder").mkdir()
@@ -612,11 +663,12 @@ def test_cli_flag_fuzz(tmp_path_factory, command, lists, tolerances, dim, counts
     if command == "reconstruct":
         flags = ["--tol-residual", "--tol-element", "--tol-loglik"]
         argv += [f"{flag}={value}" for flag, value in zip(flags, tolerances)] + ["--max-iters", "20"]
+        argv += ["--strategy", strategy, f"--seed={seed}"] + ([f"--epsilon={epsilon}"] if epsilon is not None else [])
     elif command == "sweep":
         argv += [f"{flag}={value}" for flag, value in zip(["--epsilons", "--tolerances"], lists) if value is not None]
         argv.append(f"--max-iters={max_iters}")
     else:
-        argv = [command, "--out", str(out), f"--n={n}", f"--phases={phases}", f"--format={fmt}"]
+        argv = [command, "--out", str(out), f"--n={n}", f"--phases={phases}", f"--format={fmt}", f"--seed={seed}"]
         if payload is not None:
             argv.append(f"--state-file={data}")
     if dim is not None:
@@ -631,12 +683,15 @@ def test_cli_flag_fuzz(tmp_path_factory, command, lists, tolerances, dim, counts
     assert "Traceback" not in stderr.getvalue()
     if command == "sweep" and max_iters < 1:
         assert code in (2, 3)  # a bad flag, never a failed solve
-    if command == "simulate" and (n < 1 or (fmt == "quadrature" and phases < 1)):
+    if command == "simulate" and (n < 1 or (fmt == "quadrature" and phases < 1) or seed < 0):
+        assert code in (2, 3)
+    if command == "reconstruct" and strategy == "random" and seed < 0:
         assert code in (2, 3)
     if payload is not None and not _decodes(payload):
         assert code == 2
-    if out_kind == "directory" or (out_kind == "missing_parent" and command != "sweep"):
-        assert code != 0  # a sweep's default cache directory makes a missing parent, so its write can succeed
+    if out_kind != "fresh":
+        assert code not in (0, 4)  # the output is checked before any solve or sampling
+        assert not (workdir / "missing").exists()
     assert not [p for p in workdir.rglob("*") if p.name.endswith(".tmp")]
 
 

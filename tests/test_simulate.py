@@ -117,3 +117,7 @@ class TestPresets:
     def test_spec_rejects_zero_count(self):
         with pytest.raises(ValidationError):
             SimulationSpec(state=np.eye(2, dtype=complex) / 2, seed=0, count=0)
+
+    def test_spec_rejects_negative_seed(self):
+        with pytest.raises(ValidationError, match="seed must be non-negative"):
+            SimulationSpec(state=np.eye(2, dtype=complex) / 2, seed=-1, count=5)
