@@ -42,7 +42,7 @@ EXIT_NO_CONVERGENCE = 4
 CONVERGED = (Termination.RESIDUAL_MET, Termination.ELEMENT_CHANGE_MET)
 # Part of the sweep's cache key; bump it whenever a change to the solver alters
 # the reference solutions it writes, even in their last bits.
-REFERENCE_CACHE_FORMAT = 2
+REFERENCE_CACHE_FORMAT = 3
 
 
 def _fixed_epsilon(args) -> FixedEpsilon:
@@ -143,7 +143,7 @@ def cmd_sweep(args) -> int:
     epsilons = _parse_float_list(args.epsilons, allow_inf=True)
     tolerances = _parse_float_list(args.tolerances, allow_inf=False)
     out = io.writable_path(args.out)
-    cache_dir = Path(args.cache_dir) if args.cache_dir else out.parent / ".sweep-cache"
+    cache_dir = io.writable_directory(args.cache_dir or out.parent / ".sweep-cache")
 
     start = time.perf_counter()
     reference, cache_file = _cached_reference(dataset_path, dataset, args.dim, args.max_iters, cache_dir)

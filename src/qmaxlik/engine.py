@@ -35,11 +35,9 @@ from .operators import hermitize, normalize
 PROBABILITY_FLOOR = 1e-12  # every probability tr(Pi_j rho) is raised to at least this
 CYCLE_ATOL = 1e-10
 
-# The line search scans this logarithmic eps grid, then refines around the best
-# grid point by golden-section steps in log(eps).
-LINE_SEARCH_GRID = np.geomspace(1e-3, 1e3, 25)
-GOLDEN_STEPS = 20
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+SLOPE_RESOLUTION = 1e-13  # a line-search slope within this fraction of its terms' size is rounding, taken as 0
+NEWTON_STEPS = 60  # at most this many Newton or bisection steps per line search
+QUADRATIC_EPSILON = 2.0**53  # a finite eps from here on is the quadratic step: 1/(1 + eps) is below double precision
 MAX_RETRIES = 60  # finite eps values AdaptiveBackoff and RandomEpsilon try per step before a stall
 
 
@@ -203,8 +201,8 @@ def _r_from_probs(dataset: MeasurementRecord, probs: np.ndarray) -> np.ndarray:
 
 
 def _apply_map(rho: np.ndarray, b: np.ndarray, eps: float) -> np.ndarray:
-    """normalize(M rho M^dag) with M = (1 + eps*b)/(1 + eps), or M = b at eps = inf."""
-    m = b if math.isinf(eps) else (np.eye(b.shape[0]) + eps * b) / (1.0 + eps)
+    """normalize(M rho M^dag) with M = (1 + eps*b)/(1 + eps), or M = b at eps >= QUADRATIC_EPSILON."""
+    m = b if eps >= QUADRATIC_EPSILON else (np.eye(b.shape[0]) + eps * b) / (1.0 + eps)
     return normalize(hermitize(m @ rho @ m.conj().T))
 
 
@@ -256,37 +254,46 @@ def likelihood_gain_first_order(rho, dataset: MeasurementRecord, eps: float) -> 
 
 
 # ---------------------------------------------------------------------------
-# exact gain profile along the eps direction
+# exact gain profile along the step, in t = eps/(1 + eps)
 
 
 class _GainProfile:
-    """Exact likelihood gain of a diluted step as a cheap function of eps.
+    """The objective of a diluted step as an exact function of t = eps/(1 + eps) in [0, 1].
 
-    The unnormalized candidate (1 + eps B) rho (1 + eps B^dag) is quadratic in
-    eps, so every per-outcome trace is a quadratic polynomial; evaluating the
-    gain at a new eps costs O(n_outcomes) instead of a fresh matrix sandwich.
+    M = 1 + t (B - 1), so the unnormalized candidate is quadratic in t, and so
+    are every outcome trace q_j(t) and the normalizer gamma(t) (the trace, or
+    tr(G .) with G-correction). F(t) = sum_j f_j log q_j(t) - N log gamma(t)
+    has derivatives rational in the stored coefficients, which need no log.
     """
 
     def __init__(self, state: _Step, dataset: MeasurementRecord, g: GOperator | None):
-        self.dataset = dataset
-        rho, b = state.rho, state.b
-        t1 = b @ rho + rho @ b.conj().T
-        t2 = b @ rho @ b.conj().T
-        self._p0 = state.traces
-        self._p1 = dataset.traces(t1)
-        self._p2 = dataset.traces(t2)
+        d = state.b - np.eye(dataset.dim)
+        dr = d @ state.rho
+        t1, t2 = dr + dr.conj().T, dr @ d.conj().T
+        self._counts, self._total, self._base = dataset.counts, dataset.total, state.objective
+        self._q = np.stack([state.traces, dataset.traces(t1), dataset.traces(t2)])
         self._s = np.array([1.0, t1.trace().real, t2.trace().real])
-        self._gamma = None if g is None else np.array([(g.matrix @ m).trace().real for m in (rho, t1, t2)])
-        self._base = state.objective
+        # without G, gamma is the trace and the log term of gain is log(1) = 0 exactly
+        self._gamma = self._s if g is None else np.array([(g.matrix @ m).trace().real for m in (state.rho, t1, t2)])
 
-    def __call__(self, eps: float) -> float:
-        coeff = np.array([1.0, eps, eps * eps])
-        scale = float(self._s @ coeff)
-        pr = np.maximum((self._p0 + eps * self._p1 + eps * eps * self._p2) / scale, PROBABILITY_FLOOR)
-        value = float(self.dataset.counts @ np.log(pr))
-        if self._gamma is not None:
-            value -= self.dataset.total * math.log(float(self._gamma @ coeff) / scale)
-        return value - self._base
+    def derivatives(self, t: float) -> tuple[float, float]:
+        """F'(t), or 0 where it is within SLOPE_RESOLUTION of its terms' size, and F''(t)."""
+        powers, slopes = np.array([1.0, t, t * t]), np.array([0.0, 1.0, 2.0 * t])
+        q = np.maximum(powers @ self._q, PROBABILITY_FLOOR * (powers @ self._s))
+        ratio = (slopes @ self._q) / q
+        dgamma = (slopes @ self._gamma) / (powers @ self._gamma)
+        first = float(self._counts @ ratio) - self._total * dgamma
+        if abs(first) <= SLOPE_RESOLUTION * (float(self._counts @ np.abs(ratio)) + self._total * abs(dgamma)):
+            first = 0.0
+        second = float(self._counts @ (2.0 * self._q[2] / q - ratio * ratio))
+        return first, second - self._total * (2.0 * self._gamma[2] / (powers @ self._gamma) - dgamma**2)
+
+    def gain(self, t: float) -> float:
+        """F(t) - F(0) with floored probabilities, as the reconstruction loop evaluates the objective."""
+        powers = np.array([1.0, t, t * t])
+        scale = float(powers @ self._s)
+        value = float(self._counts @ np.log(np.maximum((powers @ self._q) / scale, PROBABILITY_FLOOR)))
+        return value - self._total * math.log(float(powers @ self._gamma) / scale) - self._base
 
 
 def choose_epsilon_line_search(
@@ -294,39 +301,29 @@ def choose_epsilon_line_search(
 ) -> tuple[float, float]:
     """Step size maximizing the actual likelihood gain, and that gain.
 
-    Scans LINE_SEARCH_GRID, then refines around the best grid point by
-    GOLDEN_STEPS golden-section steps in log(eps). Away from the maximum the
-    returned gain is positive; at the maximum it collapses to zero (up to
-    roundoff), which callers treat as a stall. The reconstruction loop passes
-    its current ``state`` (rho with its traces, R, direction and objective) so
-    they are not computed again.
+    The search maximizes the exact gain profile F (see ``_GainProfile``) over
+    t = eps/(1 + eps) in [0, 1]. It takes t = 1, the quadratic step, where F
+    still rises; otherwise Newton steps on F' run inside a bracket with
+    F'(lo) >= 0 > F'(hi), and a step that leaves it, or where F'' >= 0, is
+    replaced by the midpoint. F need not be concave, so t is halved while the
+    gain is negative; as F rises from t = 0, the gain is never negative. The
+    reconstruction loop passes its current ``state`` (rho with its traces, R,
+    direction and objective) so they are not computed again.
     """
     if state is None:
         state = _step_at(_check_dims(rho, dataset), dataset, g)
-    gain = _GainProfile(state, dataset, g)
-    grid = LINE_SEARCH_GRID
-    values = [gain(float(e)) for e in grid]
-    best = int(np.argmax(values))
-    best_eps, best_gain = float(grid[best]), float(values[best])
-
-    lo = math.log(grid[max(best - 1, 0)])
-    hi = math.log(grid[min(best + 1, len(grid) - 1)])
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1, f2 = gain(math.exp(x1)), gain(math.exp(x2))
-    for _ in range(GOLDEN_STEPS):
-        if f1 >= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = gain(math.exp(x1))
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = gain(math.exp(x2))
-        x, f = (x1, f1) if f1 >= f2 else (x2, f2)
-        if f > best_gain:
-            best_eps, best_gain = math.exp(x), f
-    return best_eps, best_gain
+    profile = _GainProfile(state, dataset, g)
+    lo, hi, t = 0.0, 1.0, 1.0
+    for _ in range(NEWTON_STEPS):
+        first, second = profile.derivatives(t)
+        if first == 0.0 or first > 0.0 and t == 1.0:
+            break
+        lo, hi = (t, hi) if first > 0.0 else (lo, t)
+        step = t - first / second if second < 0.0 else math.nan
+        t = step if lo < step < hi else 0.5 * (lo + hi)
+    while (gain := profile.gain(t)) < 0.0:
+        t *= 0.5
+    return (math.inf if t == 1.0 else t / (1.0 - t)), gain
 
 
 # ---------------------------------------------------------------------------

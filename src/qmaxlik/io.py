@@ -53,6 +53,15 @@ def _read_json(path: Path) -> dict:
     return payload
 
 
+@contextlib.contextmanager
+def _naming(path: Path):
+    """Re-raise an ``OSError`` as one whose ``filename`` is ``path``, the target the user named."""
+    try:
+        yield
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror or str(exc), str(path)) from exc
+
+
 def writable_path(path) -> Path:
     """``path`` as a ``Path``, after raising now the ``OSError`` that writing it would raise.
 
@@ -60,12 +69,27 @@ def writable_path(path) -> Path:
     beside the target that is removed on close, so it leaves nothing behind.
     """
     path = Path(path)
-    try:
+    with _naming(path):
         if path.is_dir():
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
         tempfile.TemporaryFile(dir=path.parent).close()
-    except OSError as exc:  # name the target, as the writer does
-        raise OSError(exc.errno, exc.strerror or str(exc), str(path)) from exc
+    return path
+
+
+def writable_directory(path) -> Path:
+    """``path`` as a ``Path``, after raising now the ``OSError`` that making it a directory would raise.
+
+    That is the error of ``mkdir(parents=True, exist_ok=True)`` or of writing
+    in the directory. Nothing is created: the probe is a temporary file in the
+    nearest existing ancestor, removed on close.
+    """
+    path = Path(path)
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    with _naming(path):
+        if not existing.is_dir():
+            code = errno.EEXIST if existing == path else errno.ENOTDIR
+            raise OSError(code, os.strerror(code))
+        tempfile.TemporaryFile(dir=existing).close()
     return path
 
 
@@ -74,11 +98,10 @@ def _write_atomic(path, text: str) -> None:
     path = Path(path)
     temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with temp.open("w", newline="") as handle:
-            handle.write(text)
-        os.replace(temp, path)
-    except OSError as exc:  # name the target, not the temporary file
-        raise OSError(exc.errno, exc.strerror or str(exc), str(path)) from exc
+        with _naming(path):  # the target, not the temporary file
+            with temp.open("w", newline="") as handle:
+                handle.write(text)
+            os.replace(temp, path)
     finally:
         with contextlib.suppress(FileNotFoundError, NotADirectoryError):  # no temporary file was made
             temp.unlink()

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmaxlik import (
     AdaptiveBackoff,
@@ -24,7 +26,7 @@ from qmaxlik import (
     r_operator,
     reconstruct,
 )
-from support import random_dataset, random_density, random_instance
+from support import random_dataset, random_density, random_instance, random_pure_state
 
 UNIFORM = np.eye(2, dtype=complex) / 2
 MLE = np.diag([1 / 3, 2 / 3]).astype(complex)
@@ -206,9 +208,9 @@ class TestLineSearch:
         _, gain = choose_epsilon_line_search(MLE, qubit_record)
         assert gain <= 1e-12
 
-    def test_eps_within_grid(self, qubit_record):
+    def test_eps_positive(self, qubit_record):
         eps, _ = choose_epsilon_line_search(UNIFORM, qubit_record)
-        assert 1e-3 <= eps <= 1e3
+        assert 0 < eps
 
     def test_gain_matches_actual_step(self, qubit_record):
         eps, gain = choose_epsilon_line_search(UNIFORM, qubit_record)
@@ -238,6 +240,108 @@ class TestLineSearch:
         plain = reconstruct(d, config)
         np.testing.assert_array_equal(result.estimate, plain.estimate)
         np.testing.assert_array_equal(result.epsilon_trace, plain.epsilon_trace)
+
+    def test_profile_derivatives_match_finite_differences(self):
+        rng = np.random.default_rng(8)
+        for g_correction in (False, True):
+            d = random_dataset(rng, 3, 7)
+            g = None
+            if g_correction:
+                d = Dataset(elements=d.elements[:-1], counts=d.counts[:-1])
+                g = GOperator.from_dataset(d)
+            state = engine._step_at(random_density(rng, 3), d, g)
+            profile = engine._GainProfile(state, d, g)
+            for t in (0.1, 0.5, 0.9):
+                h = 1e-5
+                first, second = profile.derivatives(t)
+                slope = (profile.gain(t + h) - profile.gain(t - h)) / (2 * h)
+                curvature = (profile.gain(t + h) - 2 * profile.gain(t) + profile.gain(t - h)) / h**2
+                assert first == pytest.approx(slope, rel=1e-6, abs=1e-8 * d.total)
+                assert second == pytest.approx(curvature, rel=1e-3, abs=1e-4 * d.total)
+
+    def test_slope_at_zero_is_twice_the_first_order_gain(self):
+        rng = np.random.default_rng(9)
+        rho, d = random_instance(rng, dim=3)
+        profile = engine._GainProfile(engine._step_at(rho, d, None), d, None)
+        r = r_operator(rho, d)
+        assert profile.derivatives(0.0)[0] == pytest.approx(2 * d.total * ((r @ rho @ r).trace().real - 1))
+
+
+def _objective(rho, d, g):
+    value = log_likelihood(rho, d)
+    return value if g is None else value - d.total * math.log((g.matrix @ rho).trace().real)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    dim=st.integers(min_value=2, max_value=5),
+    extra_outcomes=st.integers(min_value=0, max_value=6),
+    mixing=st.floats(min_value=0.0, max_value=1.0),  # 0 is a pure state
+    g_correction=st.booleans(),
+)
+def test_line_search_property(seed, dim, extra_outcomes, mixing, g_correction):
+    """The gain is never negative, is the objective change of the step taken, and t is a stationary point or 1."""
+    rng = np.random.default_rng(seed)
+    d = random_dataset(rng, dim, dim + extra_outcomes + g_correction)
+    g = None
+    if g_correction:  # drop an element, so G != identity
+        d = Dataset(elements=d.elements[:-1], counts=d.counts[:-1])
+        g = GOperator.from_dataset(d)
+    psi = random_pure_state(rng, dim)
+    rho = (1 - mixing) * np.outer(psi, psi.conj()) + mixing * random_density(rng, dim)
+
+    eps, gain = choose_epsilon_line_search(rho, d, g)
+    assert gain >= 0
+    before = _objective(rho, d, g)
+    actual = _objective(diluted_step(rho, d, eps, g), d, g) - before
+    assert gain == pytest.approx(actual, rel=1e-9, abs=1e-12 * abs(before))
+    t = 1.0 if math.isinf(eps) else eps / (1 + eps)
+    slope, _ = engine._GainProfile(engine._step_at(rho, d, g), d, g).derivatives(t)
+    assert (t == 1.0 and slope >= 0) or abs(slope) <= 1e-8 * d.total
+
+
+def test_line_search_needs_few_derivative_evaluations(monkeypatch):
+    """At most 8 evaluations of F' and F'' per search, on average, over the regression table's line-search runs
+    and, separately, over criterion 9's, where most maximizers lie inside (0, 1)."""
+    counts = {"searches": 0, "evaluations": 0}
+    derivatives, search = engine._GainProfile.derivatives, engine.choose_epsilon_line_search
+
+    def counted_derivatives(self, t):
+        counts["evaluations"] += 1
+        return derivatives(self, t)
+
+    def counted_search(*args, **kwargs):
+        counts["searches"] += 1
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(engine._GainProfile, "derivatives", counted_derivatives)
+    monkeypatch.setattr(engine, "choose_epsilon_line_search", counted_search)
+    for name, d in REGRESSION_DATASETS.items():
+        for g in (False, True):
+            record = Dataset(elements=d.elements[:-1], counts=d.counts[:-1]) if g and name != "qubit" else d
+            reconstruct(record, ReconstructionConfig(strategy=LineSearchEpsilon(), g_correction=g, max_iterations=300))
+    assert counts["searches"] > 900
+    assert counts["evaluations"] <= 8 * counts["searches"]
+    counts.update(searches=0, evaluations=0)
+    rng = np.random.default_rng(2027)  # the records of acceptance criterion 9
+    for _ in range(50):
+        dim = int(rng.integers(2, 7))
+        povm = np.stack([np.diag(np.eye(dim)[k]).astype(complex) for k in range(dim)])
+        d = Dataset(elements=povm, counts=rng.uniform(0.5, 10.0, size=dim))
+        reconstruct(d, ReconstructionConfig(strategy=LineSearchEpsilon(), tol_residual=1e-10, tol_element=1e-11,
+                                            tol_loglik=1e-14, max_iterations=3000))
+    assert counts["searches"] > 100
+    assert counts["evaluations"] <= 8 * counts["searches"]
+
+
+def test_negative_gain_halves_t(monkeypatch, qubit_record):
+    """Where the gain at the stationary point is negative, t is halved until it is not."""
+    monkeypatch.setattr(engine._GainProfile, "gain", lambda self, t: -1.0 if t > 0.2 else t)
+    t_star = 3 * (3 - 2 * math.sqrt(2))  # the maximizer from the uniform state, eps = 3/(2 sqrt 2)
+    eps, gain = choose_epsilon_line_search(UNIFORM, qubit_record)
+    assert gain == pytest.approx(t_star / 4, rel=1e-9)
+    assert eps == pytest.approx(gain / (1 - gain), rel=1e-9)
 
 
 @pytest.mark.parametrize("value", [math.nan, 0.0, -1e-8])
@@ -392,8 +496,9 @@ REGRESSION_TABLE = {
     ("qubit", "fixed", True): ("likelihood_stalled", 14, 0, 9.704060527839234, None),
     ("qubit", "adaptive", False): ("residual_met", 6, 3, 0.0, None),
     ("qubit", "adaptive", True): ("residual_met", 6, 3, 0.0, None),
-    ("qubit", "linesearch", False): ("residual_met", 2, 0, 0.09098782819768422, None),
-    ("qubit", "linesearch", True): ("residual_met", 2, 0, 0.09098782819768422, None),
+    # one step to the maximum, at eps = 3/(2 sqrt 2)
+    ("qubit", "linesearch", False): ("residual_met", 1, 0, 0.05889151782816861, None),
+    ("qubit", "linesearch", True): ("residual_met", 1, 0, 0.05889151782816861, None),
     ("qubit", "random", False): ("likelihood_stalled", 19, 0, -37.81243373053271, None),
     ("qubit", "random", True): ("likelihood_stalled", 19, 0, -37.81243373053271, None),
     ("povm2", "rhor", False): ("residual_met", 108, 108, 0.0, None),
@@ -402,8 +507,8 @@ REGRESSION_TABLE = {
     ("povm2", "fixed", True): ("max_iterations", 300, 0, 207.94415416798358, None),
     ("povm2", "adaptive", False): ("residual_met", 108, 108, 0.0, None),
     ("povm2", "adaptive", True): ("likelihood_stalled", 276, 276, 0.0, None),
-    ("povm2", "linesearch", False): ("residual_met", 108, 0, 746.0375701300707, None),
-    ("povm2", "linesearch", True): ("likelihood_stalled", 277, 0, 1858.5917348614744, None),
+    ("povm2", "linesearch", False): ("residual_met", 108, 108, 0.0, None),
+    ("povm2", "linesearch", True): ("likelihood_stalled", 276, 276, 0.0, None),
     ("povm2", "random", False): ("max_iterations", 300, 0, -848.3865398783514, None),
     ("povm2", "random", True): ("max_iterations", 300, 0, -848.3865398783514, None),
     ("povm3", "rhor", False): ("max_iterations", 300, 300, 0.0, None),
@@ -412,8 +517,8 @@ REGRESSION_TABLE = {
     ("povm3", "fixed", True): ("max_iterations", 300, 0, 207.94415416798358, None),
     ("povm3", "adaptive", False): ("max_iterations", 300, 300, 0.0, None),
     ("povm3", "adaptive", True): ("max_iterations", 300, 300, 0.0, None),
-    ("povm3", "linesearch", False): ("max_iterations", 300, 0, 2061.983434908972, None),
-    ("povm3", "linesearch", True): ("max_iterations", 300, 0, 2046.3350108182947, None),
+    ("povm3", "linesearch", False): ("max_iterations", 300, 300, 0.0, None),
+    ("povm3", "linesearch", True): ("max_iterations", 300, 300, 0.0, None),
     ("povm3", "random", False): ("max_iterations", 300, 0, -848.3865398783514, None),
     ("povm3", "random", True): ("max_iterations", 300, 0, -848.3865398783514, None),
     ("qubit", "adaptive1", False): (

@@ -11,6 +11,7 @@ from qmaxlik import DataFormatError, counterexample_dataset, fidelity, preset_st
 from qmaxlik import cli
 from qmaxlik import io as qio
 from qmaxlik.cli import main
+from support import random_dataset
 
 
 @pytest.fixture
@@ -269,6 +270,20 @@ class TestUnwritableOutput:
         assert capsys.readouterr().err == f"write error: {tmp_path / 'folder'}: Is a directory\n"
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["folder", counterexample_json.name]
 
+    @pytest.mark.parametrize("cache_dir, reason", [("plain", "File exists"), ("plain/sub", "Not a directory")])
+    def test_cache_dir_checked_before_the_solve(self, tmp_path, capsys, monkeypatch, counterexample_json,
+                                                cache_dir, reason):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the reference solve ran")
+
+        monkeypatch.setattr(cli, "reference_solution", refuse)
+        (tmp_path / "plain").write_text("a regular file\n")
+        argv = ["sweep", str(counterexample_json), "--cache-dir", str(tmp_path / cache_dir),
+                "--out", str(tmp_path / "s.csv")]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == f"write error: {tmp_path / cache_dir}: {reason}\n"
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["plain", counterexample_json.name]
+
 
 class TestStrategyFlags:
     @pytest.mark.parametrize(
@@ -292,6 +307,17 @@ class TestStrategyFlags:
             assert main(["reconstruct", str(counterexample_json), "--out", str(out)] + flags) == 4
             results.append(out.read_bytes())
         assert results[0] == results[1]
+
+    def test_huge_finite_epsilon_is_the_quadratic_step(self, tmp_path, counterexample_json):
+        """No overflow warning (the suite runs with warnings as errors), and the rhor estimate."""
+
+        def run(*flags):
+            out = tmp_path / "out.json"
+            assert main(["reconstruct", str(counterexample_json), "--out", str(out), *flags]) in (0, 4)
+            return qio.parse_result_estimate(out)
+
+        np.testing.assert_array_equal(run("--strategy", "fixed", "--epsilon", "1.7e308"), run("--strategy", "rhor"))
+        run("--strategy", "random", "--epsilon", "1e308")
 
 
 class TestUnreadableInput:
@@ -406,10 +432,12 @@ class TestCliSweep:
         assert rows["inf"][3] == "false"  # the quadratic update cycles forever
         assert rows["1"][3] == "true"
 
-    def test_reference_failure_aborts_sweep(self, tmp_path, counterexample_json):
+    def test_reference_failure_aborts_sweep(self, tmp_path):
+        data = tmp_path / "povm3.json"  # the regression table's povm3: its reference needs more than 2 steps
+        qio.write_counts_dataset(data, random_dataset(np.random.default_rng(3), dim=3, n_outcomes=10))
         out = tmp_path / "sweep.csv"
         code = main(
-            ["sweep", str(counterexample_json), "--epsilons", "1", "--tolerances", "1e-6",
+            ["sweep", str(data), "--epsilons", "1", "--tolerances", "1e-6",
              "--max-iters", "2", "--out", str(out)]
         )
         assert code == 4
@@ -625,13 +653,25 @@ def _decodes(payload: bytes) -> bool:
 
 # Valid inputs but for one strategy flag; random draws seldom reach these with a readable input file.
 _VALID = dict(lists=(None, None), tolerances=("1e-8",) * 3, dim=None, counts=(10, 2, 5), fmt="quadrature",
-              payload=None, suffix=".json", out_kind="fresh", epsilon=None, seed=0)
+              payload=None, suffix=".json", out_kind="fresh", epsilon=None, seed=0, solvable=None)
+_POSITIVE = st.floats(min_value=1e-12, max_value=1e-2).map(repr)
+# Flags that take the qubit JSON to a solve whatever the strategy; without them few examples would reach one.
+_SOLVABLE = st.fixed_dictionaries({
+    "tolerances": st.tuples(_POSITIVE, _POSITIVE, _POSITIVE),
+    "lists": st.tuples(st.lists(st.sampled_from(["0.5", "1", "10", "inf"]), min_size=1, max_size=3).map(",".join),
+                       st.lists(_POSITIVE, min_size=1, max_size=3).map(",".join)),
+    "epsilon": st.floats(min_value=1e-3, max_value=1e308).map(repr),
+    "seed": st.integers(min_value=0, max_value=4),
+    "max_iters": st.integers(min_value=1, max_value=50),
+})
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @example(command="reconstruct", strategy="random", **{**_VALID, "seed": -1})
 @example(command="reconstruct", strategy="random", **{**_VALID, "epsilon": "inf"})
 @example(command="simulate", strategy="random", **{**_VALID, "seed": -1})
+@example(command="reconstruct", strategy="fixed", **{**_VALID, "epsilon": "1.7e308"})
+@example(command="reconstruct", strategy="random", **{**_VALID, "epsilon": "1e308"})
 @given(
     command=st.sampled_from(["reconstruct", "sweep", "simulate"]),
     lists=st.tuples(st.none() | _LIST, st.none() | _LIST),  # None keeps the flag's default
@@ -645,11 +685,17 @@ _VALID = dict(lists=(None, None), tolerances=("1e-8",) * 3, dim=None, counts=(10
     strategy=st.sampled_from(["rhor", "fixed", "adaptive", "linesearch", "random"]),
     epsilon=st.none() | _NUMBER,  # None leaves --epsilon out
     seed=_COUNT,
+    # two draws in three replace the input, --out, --dim and every flag but --strategy
+    solvable=st.sampled_from([False, True, True]).flatmap(lambda on: _SOLVABLE if on else st.none()),
 )
 def test_cli_flag_fuzz(tmp_path_factory, command, lists, tolerances, dim, counts, fmt, payload, suffix, out_kind,
-                       strategy, epsilon, seed):
+                       strategy, epsilon, seed, solvable):
     """Any list, tolerance, count, strategy flag, --dim, input file or --out ends in a documented exit code,
-    never a traceback."""
+    never a traceback or a warning."""
+    if solvable is not None:
+        payload, out_kind, dim = None, "fresh", None
+        tolerances, lists, epsilon, seed = (solvable[key] for key in ("tolerances", "lists", "epsilon", "seed"))
+        counts = (*counts[:2], solvable["max_iters"])
     workdir = tmp_path_factory.mktemp("fuzz")
     out = workdir / {"fresh": "out", "directory": "folder", "missing_parent": "missing/out"}[out_kind]
     (workdir / "folder").mkdir()
@@ -689,6 +735,8 @@ def test_cli_flag_fuzz(tmp_path_factory, command, lists, tolerances, dim, counts
         assert code in (2, 3)
     if payload is not None and not _decodes(payload):
         assert code == 2
+    if solvable is not None and command != "simulate":
+        assert code in (0, 4)
     if out_kind != "fresh":
         assert code not in (0, 4)  # the output is checked before any solve or sampling
         assert not (workdir / "missing").exists()
