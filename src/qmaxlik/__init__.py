@@ -37,13 +37,12 @@ from .operators import (
 )
 from .povm import (
     counterexample_dataset,
-    harmonic_wavefunction,
     projector_from_state,
     quadrature_dataset,
     quadrature_projector,
 )
 from .simulate import SimulationSpec, preset_state, sample_counts, sample_quadratures
-from .sweep import SweepRow, reference_solution, run_sweep, sweep_iteration_counts
+from .sweep import SweepRow, reference_solution, sweep_iteration_counts
 
 __version__ = "0.1.0"
 
@@ -70,7 +69,6 @@ __all__ = [
     "eigendecompose",
     "extremal_residual",
     "fidelity",
-    "harmonic_wavefunction",
     "hermitize",
     "likelihood_gain_first_order",
     "log_likelihood",
@@ -83,7 +81,6 @@ __all__ = [
     "r_operator",
     "reconstruct",
     "reference_solution",
-    "run_sweep",
     "sample_counts",
     "sample_quadratures",
     "sweep_iteration_counts",

@@ -57,8 +57,8 @@ STRATEGIES = {
     "fixed": _fixed_epsilon,
     "adaptive": lambda args: AdaptiveBackoff(),
     "linesearch": lambda args: LineSearchEpsilon(),
-    "random": lambda args: RandomEpsilon(epsilon_max=args.epsilon if args.epsilon is not None else 10.0,
-                                         seed=args.seed),
+    "random": lambda args: RandomEpsilon(seed=args.seed,
+                                         **({} if args.epsilon is None else {"epsilon_max": args.epsilon})),
 }
 
 
@@ -83,7 +83,7 @@ def cmd_reconstruct(args) -> int:
     elapsed = time.perf_counter() - start
 
     io.write_result_json(out, result)
-    io.write_manifest(out, args, str(args.input), elapsed,
+    io.write_manifest(out, args, elapsed,
                       {"termination": result.termination.value, "iterations": result.iterations},
                       rng_algorithm=RNG_ALGORITHM if args.strategy == "random" else None,
                       wall_seconds_per_iteration=elapsed / result.iterations if result.iterations else None)
@@ -162,7 +162,7 @@ def cmd_sweep(args) -> int:
     elapsed = time.perf_counter() - start
 
     io.write_sweep_csv(out, rows)
-    io.write_manifest(out, args, str(dataset_path), elapsed, {"rows": len(rows), "reference_cache": str(cache_file)})
+    io.write_manifest(out, args, elapsed, {"rows": len(rows), "reference_cache": str(cache_file)})
 
     for row in rows:
         eps = "inf" if math.isinf(row.epsilon) else f"{row.epsilon:g}"
@@ -171,12 +171,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    dim = args.dim
-    if args.state_file:
-        state = io.parse_state(args.state_file)
-        dim = state.shape[0]
-    else:
-        state = preset_state(args.preset, dim)
+    state = io.parse_state(args.state_file) if args.state_file else preset_state(args.preset, args.dim)
+    dim = state.shape[0]
     spec = SimulationSpec(state=state, seed=args.seed, count=args.n)
     if args.format == "quadrature" and args.phases < 1:
         raise ValidationError("--phases must be at least 1")
@@ -195,7 +191,7 @@ def cmd_simulate(args) -> int:
         extra = {"povm": f"computational basis projectors, dim {dim}", "outcomes": dataset.n_outcomes}
     elapsed = time.perf_counter() - start
 
-    io.write_manifest(out, args, args.state_file, elapsed, extra, rng_algorithm=RNG_ALGORITHM)
+    io.write_manifest(out, args, elapsed, extra, rng_algorithm=RNG_ALGORITHM)
     print(f"wrote {out}")
     return EXIT_OK
 
@@ -212,10 +208,10 @@ def build_parser() -> argparse.ArgumentParser:
     rec.add_argument("--out", required=True, help="result JSON path")
     rec.add_argument("--strategy", choices=list(STRATEGIES), default="adaptive")
     rec.add_argument("--epsilon", type=float, default=None, help="step size (fixed) or cap (random)")
-    rec.add_argument("--tol-residual", type=float, default=1e-8)
-    rec.add_argument("--tol-element", type=float, default=1e-10)
-    rec.add_argument("--tol-loglik", type=float, default=1e-13)
-    rec.add_argument("--max-iters", type=int, default=5000)
+    rec.add_argument("--tol-residual", type=float, default=ReconstructionConfig.tol_residual)
+    rec.add_argument("--tol-element", type=float, default=ReconstructionConfig.tol_element)
+    rec.add_argument("--tol-loglik", type=float, default=ReconstructionConfig.tol_loglik)
+    rec.add_argument("--max-iters", type=int, default=ReconstructionConfig.max_iterations)
     rec.add_argument("--dim", type=int, default=None, help="truncation for quadrature CSV input")
     rec.add_argument("--g-correction", action="store_true", help="debias incomplete POVMs")
     rec.add_argument("--seed", type=int, default=0, help="seed for the random strategy")

@@ -31,7 +31,7 @@ def _checked_counts(counts, n_outcomes: int) -> np.ndarray:
 
 
 class MeasurementRecord:
-    """Outcomes with counts; each record also gives dim, elements, element_sum, traces and weighted_sum."""
+    """Outcomes with counts; each record also gives dim, elements, traces and weighted_sum."""
 
     counts: np.ndarray
 
@@ -43,6 +43,10 @@ class MeasurementRecord:
     def total(self) -> float:
         """Total number of measurements (sum of counts)."""
         return float(self.counts.sum())
+
+    def element_sum(self) -> np.ndarray:
+        """Sum of all measurement elements (identity for a complete POVM)."""
+        return self.weighted_sum(np.ones(self.n_outcomes))
 
 
 @dataclass(frozen=True)
@@ -78,10 +82,6 @@ class Dataset(MeasurementRecord):
     @property
     def dim(self) -> int:
         return self.elements.shape[1]
-
-    def element_sum(self) -> np.ndarray:
-        """Sum of all measurement elements (identity for a complete POVM)."""
-        return self.elements.sum(axis=0)
 
     def traces(self, matrix: np.ndarray) -> np.ndarray:
         """tr(Pi_k matrix) for every element, as real numbers (matrix is Hermitian)."""
@@ -172,10 +172,6 @@ class QuadratureDataset(MeasurementRecord):
         """The (m, dim, dim) element stack, built on every read; the solver never uses it."""
         chi = np.exp(1j * np.outer(self.thetas, np.arange(self.dim))) * self.psi
         return np.einsum("mi,mj->mij", chi, chi.conj())
-
-    def element_sum(self) -> np.ndarray:
-        """Sum of all measurement elements."""
-        return self.weighted_sum(np.ones(self.n_outcomes))
 
     def traces(self, matrix: np.ndarray) -> np.ndarray:
         """tr(Pi_k matrix) for every sample, as real numbers (matrix is Hermitian)."""

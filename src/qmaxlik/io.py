@@ -288,17 +288,17 @@ def write_sweep_csv(path, rows: list[SweepRow]) -> None:
     _write_atomic(path, _csv_text(["epsilon", "tolerance", "iterations", "converged"], lines))
 
 
-def write_manifest(out, args, input_path: str | None, wall_seconds_total: float, extra: dict,
+def write_manifest(out, args, wall_seconds_total: float, extra: dict,
                    rng_algorithm: str | None = None, wall_seconds_per_iteration: float | None = None) -> None:
     """Write ``<out>.manifest.json``, the provenance record of a command that wrote ``out``.
 
-    ``args`` is the command's ``argparse.Namespace``. Its fields but ``func`` are
-    the config echo; it also gives the command and the seed (``None`` if none).
+    ``args`` is the command's ``argparse.Namespace``. Its fields but ``func`` are the config echo; it
+    also gives the command, the input path as given (``input`` or ``state_file``) and the seed.
     """
     out = Path(out)
     _write_json(out.with_name(out.name + ".manifest.json"), {
         "command": args.command,
-        "input_path": input_path,
+        "input_path": getattr(args, "input", getattr(args, "state_file", None)),
         "output_paths": [str(out)],
         "config": {k: v for k, v in vars(args).items() if k != "func"},
         "seed": getattr(args, "seed", None),

@@ -39,21 +39,15 @@ def counterexample_dataset() -> Dataset:
     return Dataset(elements=np.stack([p0, p1]), counts=np.array([1.0, 2.0]))
 
 
-def harmonic_wavefunction(n: int, x) -> np.ndarray:
-    """Normalized harmonic-oscillator eigenfunction psi_n evaluated at ``x``.
+def wavefunction_table(dim: int, x) -> np.ndarray:
+    """Stack psi_0 .. psi_{dim-1} evaluated at ``x``; shape (dim, len(x)).
 
-    Uses the stable three-term recurrence on the normalized functions
+    Row n is the normalized harmonic-oscillator eigenfunction psi_n. The rows
+    come from the stable three-term recurrence on the normalized functions
     (raw Hermite polynomials overflow long before n = 14 at |x| ~ 10):
 
         psi_{n+1} = sqrt(2/(n+1)) x psi_n - sqrt(n/(n+1)) psi_{n-1}
     """
-    if n < 0:
-        raise ValidationError("quantum number must be non-negative")
-    return wavefunction_table(n + 1, x)[n]
-
-
-def wavefunction_table(dim: int, x) -> np.ndarray:
-    """Stack psi_0 .. psi_{dim-1} evaluated at ``x``; shape (dim, len(x))."""
     if dim < 1:
         raise ValidationError("dimension must be at least 1")
     xs = np.atleast_1d(np.asarray(x, dtype=np.float64))
@@ -84,6 +78,4 @@ def quadrature_dataset(thetas, xs, dim: int) -> QuadratureDataset:
     factored form (see ``QuadratureDataset``) and kept in sample order.
     """
     psi = wavefunction_table(dim, xs).T
-    if psi.shape[0] == 0:
-        raise ValidationError("sample list is empty")
     return QuadratureDataset(psi=psi, thetas=thetas, counts=np.ones(psi.shape[0]))

@@ -48,20 +48,17 @@ def sample_counts(spec: SimulationSpec, povm) -> Dataset:
     probabilities do not form a distribution and multinomial sampling is
     meaningless). Deterministic for a given seed.
     """
-    elements = np.asarray(povm, dtype=np.complex128)
-    if elements.ndim != 3 or elements.shape[1] != elements.shape[2]:
-        raise ValidationError(f"POVM must be a (k, dim, dim) stack, got {elements.shape}")
-    if elements.shape[1] != spec.state.shape[0]:
+    record = Dataset(elements=povm, counts=np.ones(np.shape(povm)[:1]))
+    if record.dim != spec.state.shape[0]:
         raise ValidationError("POVM dimension does not match the true state")
-    gap = np.max(np.abs(elements.sum(axis=0) - np.eye(elements.shape[1])))
+    gap = np.max(np.abs(record.element_sum() - np.eye(record.dim)))
     if gap > COMPLETENESS_ATOL:
         raise ValidationError(f"POVM is incomplete: |sum - identity| = {gap:.3e}")
-    probs = np.einsum("kij,ji->k", elements, spec.state).real
-    probs = np.maximum(probs, 0.0)
+    probs = np.maximum(record.traces(spec.state), 0.0)
     probs /= probs.sum()
     rng = np.random.default_rng(spec.seed)
     counts = rng.multinomial(spec.count, probs).astype(np.float64)
-    return Dataset(elements=elements, counts=counts)
+    return Dataset(elements=record.elements, counts=counts)
 
 
 def quadrature_density_table(state: np.ndarray, theta: float, grid: np.ndarray) -> np.ndarray:
@@ -93,21 +90,15 @@ def sample_quadratures(spec: SimulationSpec, phases, dim: int) -> tuple[np.ndarr
 
     grid = np.linspace(QUAD_GRID_LO, QUAD_GRID_HI, QUAD_GRID_POINTS)
     step = grid[1] - grid[0]
-    cdfs = np.empty((phase_list.size, QUAD_GRID_POINTS))
-    for i, theta in enumerate(phase_list):
-        density = quadrature_density_table(spec.state, float(theta), grid)
-        increments = 0.5 * (density[1:] + density[:-1]) * step
-        cdfs[i] = np.concatenate([[0.0], np.cumsum(increments)])
-
     rng = np.random.default_rng(spec.seed)
     phase_idx = rng.integers(0, phase_list.size, size=spec.count)
     uniforms = rng.random(spec.count)
     xs = np.empty(spec.count)
-    for i in range(phase_list.size):
+    for i, theta in enumerate(phase_list):
+        density = quadrature_density_table(spec.state, float(theta), grid)
+        increments = 0.5 * (density[1:] + density[:-1]) * step
+        cdf = np.concatenate([[0.0], np.cumsum(increments)])
         mask = phase_idx == i
-        if not np.any(mask):
-            continue
-        cdf = cdfs[i]
         xs[mask] = np.interp(uniforms[mask] * cdf[-1], cdf, grid)
     return phase_list[phase_idx], xs
 

@@ -56,6 +56,17 @@ class TestDataset:
         with pytest.raises(ValidationError):
             Dataset(elements=np.eye(2, dtype=complex)[None], counts=np.array([1.0, 2.0]))
 
+    @pytest.mark.parametrize(
+        "elements, counts, message",
+        [(np.empty((0, 2, 2)), [], "dataset has no measurement records"),
+         (np.eye(2), [1.0, 1.0], r"elements must be a \(k, dim, dim\) stack, got \(2, 2\)"),
+         (np.ones((1, 2, 3)), [1.0], r"elements must be a \(k, dim, dim\) stack, got \(1, 2, 3\)")],
+        ids=["no-outcomes", "one-matrix", "not-square"],
+    )
+    def test_rejects_malformed_stack(self, elements, counts, message):
+        with pytest.raises(ValidationError, match=message):
+            Dataset(elements=elements, counts=np.array(counts))
+
     @pytest.mark.parametrize("part", ["real", "imag"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_element(self, part, value):
@@ -85,6 +96,10 @@ class TestGOperator:
             d = random_dataset(rng)
             g = GOperator.from_dataset(d)
             assert np.max(np.abs(g.matrix @ g.inverse - np.eye(d.dim))) <= 1e-8
+
+    def test_wrong_inverse_rejected(self):
+        with pytest.raises(ValidationError, match="inverse check failed"):
+            GOperator(matrix=np.eye(2), inverse=2.0 * np.eye(2))
 
     def test_singular_sum_rejected(self):
         # element supported on |0> only: the sum cannot be inverted on a qubit
@@ -169,6 +184,11 @@ class TestQuadratureDataset:
     def test_rejects_inconsistent_phases(self):
         with pytest.raises(ValidationError, match="does not match"):
             QuadratureDataset(psi=np.array([[1.0, 0.0]]), thetas=np.array([0.0, 1.0]), counts=np.array([1.0]))
+
+    @pytest.mark.parametrize("psi", [np.ones(3), np.ones((3, 0)), np.ones((1, 1, 2))])
+    def test_rejects_table_of_wrong_shape(self, psi):
+        with pytest.raises(ValidationError, match=r"psi must be a \(samples, dim\) table"):
+            QuadratureDataset(psi=psi, thetas=np.zeros(psi.shape[0]), counts=np.ones(psi.shape[0]))
 
     def test_rejects_complex_or_nonfinite_table(self):
         with pytest.raises(ValidationError, match="real"):

@@ -353,7 +353,8 @@ def test_config_rejects_non_positive_tolerance(name, value):
 
 @pytest.mark.parametrize(
     "kwargs, message",
-    [({"epsilon_max": math.inf}, "epsilon_max must be finite"), ({"seed": -1}, "seed must be non-negative")],
+    [({"epsilon_max": math.inf}, "epsilon_max must be finite"), ({"seed": -1}, "seed must be non-negative"),
+     ({"epsilon_max": 1e-4}, "epsilon_max must exceed the 1e-4 lower sampling bound")],
 )
 def test_random_epsilon_rejects(kwargs, message):
     with pytest.raises(ValidationError, match=message):
@@ -361,6 +362,10 @@ def test_random_epsilon_rejects(kwargs, message):
 
 
 class TestReconstruct:
+    def test_rejects_unknown_strategy(self, qubit_record):
+        with pytest.raises(ValidationError, match="unknown step-size strategy 'adaptive'"):
+            reconstruct(qubit_record, ReconstructionConfig(strategy="adaptive"))
+
     def test_rhor_detects_cycle(self, qubit_record):
         res = reconstruct(qubit_record, ReconstructionConfig(strategy=FixedEpsilon(math.inf), max_iterations=100))
         assert res.termination is Termination.CYCLE_DETECTED

@@ -14,6 +14,9 @@ from qmaxlik.cli import main
 from support import random_dataset
 
 
+_ELEMENT = {"re": [[1.0, 0.0], [0.0, 1.0]], "im": [[0.0, 0.0], [0.0, 0.0]], "count": 1.0}
+
+
 @pytest.fixture
 def counterexample_json(tmp_path):
     path = tmp_path / "qubit.json"
@@ -74,6 +77,31 @@ class TestDatasetRoundTrip:
         assert qio.parse_dataset(counterexample_json, dim=2).dim == 2
         with pytest.raises(DataFormatError, match="dim"):
             qio.parse_dataset(counterexample_json, dim=7)
+
+    @pytest.mark.parametrize(
+        "name, payload, message",
+        [
+            ("data.txt", {}, "unsupported dataset extension '.txt' (use .json or .csv)"),
+            ("data.json", {"elements": [_ELEMENT]}, "{path}: need integer 'dim' and list 'elements'"),
+            ("data.json", {"dim": 0, "elements": [_ELEMENT]}, "{path}: dim must be positive"),
+            ("data.json", {"dim": 2, "elements": []}, "{path}: 'elements' must be a non-empty list"),
+            ("data.json", {"dim": 2, "elements": [3]}, "{path}: element 0: must be an object"),
+            ("data.json", {"dim": 2, "elements": [{"re": _ELEMENT["re"], "im": _ELEMENT["im"]}]},
+             "{path}: element 0: need 're', 'im', and numeric 'count'"),
+            ("data.json", {"dim": 2, "elements": [{**_ELEMENT, "re": [["a", 0.0], [0.0, 1.0]]}]},
+             "{path}: element 0: re/im are not numeric arrays"),
+            ("data.json", {"dim": 2, "elements": [{**_ELEMENT, "im": [[0.0, 0.0]]}]},
+             "{path}: element 0: expected 2x2 re/im arrays, got (2, 2) and (1, 2)"),
+        ],
+        ids=["extension", "no-dim", "dim-zero", "no-elements", "element-not-object", "no-count", "re-not-numeric",
+             "im-wrong-shape"],
+    )
+    def test_malformed_dataset_file_rejected(self, tmp_path, name, payload, message):
+        path = tmp_path / name
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataFormatError) as excinfo:
+            qio.parse_dataset(path)
+        assert str(excinfo.value).startswith(message.format(path=path))
 
     @pytest.mark.parametrize("text", ["{trunc", "[]", '{"dim": 2}', '{"dim": 2, "estimate": {"re": []}}'])
     def test_malformed_result_rejected(self, tmp_path, text):
@@ -292,6 +320,9 @@ class TestStrategyFlags:
             (["reconstruct", "{data}", "--strategy", "random", "--seed", "-1"], "seed must be non-negative"),
             (["reconstruct", "{data}", "--strategy", "random", "--epsilon", "inf"], "epsilon_max must be finite"),
             (["simulate", "--n", "10", "--seed", "-1"], "seed must be non-negative"),
+            (["reconstruct", "{data}", "--strategy", "fixed"], "--strategy fixed requires --epsilon"),
+            (["reconstruct", "{data}", "--strategy", "fixed", "--epsilon", "0"], "epsilon must be positive"),
+            (["reconstruct", "{data}", "--strategy", "fixed", "--epsilon", "nan"], "epsilon must be positive"),
         ],
     )
     def test_exit_three_with_one_line(self, tmp_path, capsys, counterexample_json, argv, message):
@@ -598,6 +629,17 @@ class TestManifest:
             "seed": None, "rng_algorithm": None, "extra": {"rows": 1, "reference_cache": str(cached)},
         }
 
+    @pytest.mark.parametrize(
+        "command, flags", [("reconstruct", []), ("sweep", ["--epsilons", "1", "--tolerances", "1e-4"])],
+        ids=["reconstruct", "sweep"],
+    )
+    def test_relative_input_recorded_as_given(self, tmp_path, monkeypatch, counterexample_json, command, flags):
+        monkeypatch.chdir(tmp_path)
+        given = f"./{counterexample_json.name}"
+        assert main([command, given, "--out", "out", *flags]) == 0
+        manifest, _ = self._read(tmp_path / "out")
+        assert manifest["input_path"] == manifest["config"]["input"] == given
+
     def test_simulate_quadrature_from_state_file(self, tmp_path):
         state, out = tmp_path / "state.json", tmp_path / "x.csv"
         qio.write_state(state, preset_state("vacuum", 2))
@@ -750,6 +792,13 @@ class TestStateFiles:
         qio.write_state(path, state)
         again = qio.parse_state(path)
         np.testing.assert_array_equal(again, state)
+
+    @pytest.mark.parametrize("dim", [None, "two"])
+    def test_state_needs_integer_dim(self, tmp_path, dim):
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps({"dim": dim, "re": [[1.0]], "im": [[0.0]]}))
+        with pytest.raises(DataFormatError, match=f"{path}: need integer 'dim'"):
+            qio.parse_state(path)
 
     def test_invalid_state_rejected(self, tmp_path):
         path = tmp_path / "bad_state.json"

@@ -84,6 +84,14 @@ class TestValidateDensity:
         with pytest.raises(ValidationError, match="trace"):
             validate_density(np.diag([0.7, 0.7]))
 
+    def test_povm_element_non_hermitian_rejected(self):
+        with pytest.raises(ValidationError, match="measurement element is not Hermitian"):
+            validate_povm_element(np.array([[1.0, 0.5], [0.0, 1.0]]))
+
+    def test_povm_element_returned_unchanged(self):
+        element = np.array([[0.5, 0.25j], [-0.25j, 0.5]])
+        np.testing.assert_array_equal(validate_povm_element(element), element)
+
     def test_povm_element_negative_rejected(self):
         with pytest.raises(ValidationError):
             validate_povm_element(np.diag([1.0, -0.1]))

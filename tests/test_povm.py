@@ -5,13 +5,13 @@ from qmaxlik import (
     Dataset,
     ValidationError,
     counterexample_dataset,
-    harmonic_wavefunction,
     outcome_probabilities,
     projector_from_state,
     quadrature_dataset,
     quadrature_projector,
     r_operator,
 )
+from qmaxlik.povm import wavefunction_table
 
 
 class TestProjectorFromState:
@@ -58,27 +58,34 @@ class TestCounterexampleDataset:
 
 
 class TestHarmonicWavefunction:
+    """The rows of ``wavefunction_table`` are the oscillator eigenfunctions psi_0 .. psi_{dim-1}."""
+
     def test_ground_state_at_origin(self):
-        assert harmonic_wavefunction(0, 0.0)[0] == pytest.approx(np.pi ** -0.25, abs=1e-12)
+        assert wavefunction_table(1, 0.0)[0, 0] == pytest.approx(np.pi ** -0.25, abs=1e-12)
 
     def test_first_excited_odd_parity(self):
-        assert harmonic_wavefunction(1, 0.0)[0] == 0.0
+        assert wavefunction_table(2, 0.0)[1, 0] == 0.0
 
     def test_normalization_by_quadrature(self):
         xs = np.linspace(-10.0, 10.0, 20001)
-        for n in range(15):
-            values = harmonic_wavefunction(n, xs)
+        for values in wavefunction_table(15, xs):
             integral = np.trapezoid(values**2, xs)
             assert integral == pytest.approx(1.0, abs=1e-8)
 
     def test_orthogonality_by_quadrature(self):
         xs = np.linspace(-10.0, 10.0, 20001)
-        psi3, psi7 = harmonic_wavefunction(3, xs), harmonic_wavefunction(7, xs)
-        assert abs(np.trapezoid(psi3 * psi7, xs)) <= 1e-8
+        table = wavefunction_table(8, xs)
+        assert abs(np.trapezoid(table[3] * table[7], xs)) <= 1e-8
 
-    def test_negative_n_rejected(self):
-        with pytest.raises(ValidationError):
-            harmonic_wavefunction(-1, 0.0)
+    @pytest.mark.parametrize(
+        "dim, x, message",
+        [(0, 0.0, "dimension must be at least 1"), (3, [0.0, np.nan], "quadrature values must be finite"),
+         (3, -np.inf, "quadrature values must be finite")],
+        ids=["zero-dim", "nan-x", "inf-x"],
+    )
+    def test_invalid_input_rejected(self, dim, x, message):
+        with pytest.raises(ValidationError, match=message):
+            wavefunction_table(dim, x)
 
 
 class TestQuadratureProjector:
@@ -102,6 +109,11 @@ class TestQuadratureProjector:
         s1 = (1.1 + 2 * np.pi, -0.4)
         a, b = quadrature_projector(*s0, 12), quadrature_projector(*s1, 12)
         assert np.max(np.abs(a - b)) <= 1e-12
+
+    @pytest.mark.parametrize("theta, x", [(np.nan, 0.0), (0.0, np.inf)])
+    def test_non_finite_sample_rejected(self, theta, x):
+        with pytest.raises(ValidationError, match="phase and quadrature value must be finite"):
+            quadrature_projector(theta, x, 3)
 
     def test_rank_one_psd_hermitian(self):
         rng = np.random.default_rng(1)

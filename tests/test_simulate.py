@@ -43,6 +43,17 @@ class TestSampleCounts:
         with pytest.raises(ValidationError, match="incomplete"):
             sample_counts(spec, partial)
 
+    @pytest.mark.parametrize(
+        "povm, message",
+        [(np.eye(2), r"elements must be a \(k, dim, dim\) stack, got \(2, 2\)"),
+         (basis_povm(3), "POVM dimension does not match the true state")],
+        ids=["not-a-stack", "wrong-dim"],
+    )
+    def test_malformed_povm_rejected(self, povm, message):
+        spec = SimulationSpec(state=np.eye(2, dtype=complex) / 2, seed=0, count=10)
+        with pytest.raises(ValidationError, match=message):
+            sample_counts(spec, povm)
+
     def test_chi_square_goodness_of_fit(self):
         rng = np.random.default_rng(3)
         for seed in range(5):
@@ -85,6 +96,17 @@ class TestSampleQuadratures:
         thetas, _ = sample_quadratures(spec, phases, dim)
         assert set(thetas.tolist()) == set(phases)
 
+    @pytest.mark.parametrize(
+        "phases, dim, message",
+        [([], 2, "need at least one phase"), ([0.0, np.nan], 2, "phases must be finite"),
+         ([0.0], 0, "dimension must be at least 1"), ([0.0], 3, "true state dimension does not match requested dim")],
+        ids=["no-phase", "nan-phase", "zero-dim", "wrong-dim"],
+    )
+    def test_bad_arguments_rejected(self, phases, dim, message):
+        spec = SimulationSpec(state=preset_state("vacuum", 2), seed=0, count=10)
+        with pytest.raises(ValidationError, match=message):
+            sample_quadratures(spec, phases, dim)
+
     def test_density_table_nonnegative_and_normalized(self):
         rng = np.random.default_rng(4)
         grid = np.linspace(-6.0, 6.0, QUAD_GRID_POINTS)
@@ -109,6 +131,11 @@ class TestPresets:
     def test_unknown_rejected(self):
         with pytest.raises(ValidationError):
             preset_state("cat", 5)
+
+    @pytest.mark.parametrize("name, dim", [("superposition01", 1), ("vacuum", 0)])
+    def test_dimension_too_small_rejected(self, name, dim):
+        with pytest.raises(ValidationError, match=f"dimension {dim} is too small for preset '{name}'"):
+            preset_state(name, dim)
 
     def test_spec_validates_state(self):
         with pytest.raises(ValidationError):

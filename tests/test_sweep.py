@@ -8,7 +8,6 @@ from qmaxlik import (
     ValidationError,
     counterexample_dataset,
     reference_solution,
-    run_sweep,
     sweep_iteration_counts,
 )
 from support import random_dataset
@@ -34,33 +33,35 @@ class TestReferenceSolution:
 class TestIterationCounts:
     def test_smaller_eps_needs_strictly_more_iterations(self):
         d = counterexample_dataset()
-        rows, _ = run_sweep(d, epsilons=[1e-3, 1.0], tolerances=[1e-6], max_iterations=50000)
+        reference = reference_solution(d, max_iterations=50000).estimate
+        rows = sweep_iteration_counts(d, reference, [1e-3, 1.0], [1e-6], max_iterations=50000)
         counts = {row.epsilon: row.iterations for row in rows}
         assert counts[1e-3] > counts[1.0]
         assert all(row.converged for row in rows)
 
     def test_infinite_eps_cycles_and_never_converges(self):
         d = counterexample_dataset()
-        rows, _ = run_sweep(d, epsilons=[math.inf], tolerances=[1e-6], max_iterations=1000)
+        reference = reference_solution(d, max_iterations=1000).estimate
+        rows = sweep_iteration_counts(d, reference, [math.inf], [1e-6], max_iterations=1000)
         assert rows[0].converged is False
         assert rows[0].iterations == 1000
 
     def test_rows_ordered_by_tolerance_then_eps(self):
         d = counterexample_dataset()
-        rows, _ = run_sweep(d, epsilons=[1.0, 0.5, math.inf], tolerances=[1e-3, 1e-5])
+        rows = sweep_iteration_counts(d, reference_solution(d).estimate, [1.0, 0.5, math.inf], [1e-3, 1e-5])
         order = [(row.tolerance, row.epsilon) for row in rows]
         assert order == sorted(order)
         assert math.isinf(order[2][1])  # inf is the last eps within each tolerance block
 
     def test_looser_tolerance_crossed_no_later(self):
         d = counterexample_dataset()
-        rows, _ = run_sweep(d, epsilons=[0.5], tolerances=[1e-3, 1e-7])
+        rows = sweep_iteration_counts(d, reference_solution(d).estimate, [0.5], [1e-3, 1e-7])
         by_tol = {row.tolerance: row.iterations for row in rows}
         assert by_tol[1e-3] <= by_tol[1e-7]
 
     def test_shared_reference_reused(self):
         d = counterexample_dataset()
-        _, reference = run_sweep(d, epsilons=[1.0], tolerances=[1e-4])
+        reference = reference_solution(d).estimate
         rows = sweep_iteration_counts(d, reference, [1.0], [1e-4])
         rows2 = sweep_iteration_counts(d, reference, [1.0], [1e-4])
         assert rows == rows2
