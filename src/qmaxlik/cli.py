@@ -42,7 +42,7 @@ EXIT_NO_CONVERGENCE = 4
 CONVERGED = (Termination.RESIDUAL_MET, Termination.ELEMENT_CHANGE_MET)
 # Part of the sweep's cache key; bump it whenever a change to the solver alters
 # the reference solutions it writes, even in their last bits.
-REFERENCE_CACHE_FORMAT = 3
+REFERENCE_CACHE_FORMAT = 4
 
 
 def _fixed_epsilon(args) -> FixedEpsilon:

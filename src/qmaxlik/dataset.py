@@ -67,7 +67,7 @@ class Dataset(MeasurementRecord):
         elements = np.asarray(self.elements, dtype=np.complex128)
         if not np.all(np.isfinite(elements)):  # NaN would pass the Hermiticity and eigenvalue checks
             raise ValidationError("measurement elements must be finite")
-        if elements.ndim != 3 or elements.shape[1] != elements.shape[2]:
+        if elements.ndim != 3 or elements.shape[1] != elements.shape[2] or elements.shape[1] < 1:
             raise ValidationError(f"elements must be a (k, dim, dim) stack, got {elements.shape}")
         counts = _checked_counts(self.counts, elements.shape[0])
         skew = np.max(np.abs(elements - elements.conj().transpose(0, 2, 1)))

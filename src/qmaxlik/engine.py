@@ -46,11 +46,12 @@ MAX_RETRIES = 60  # finite eps values AdaptiveBackoff and RandomEpsilon try per 
 
 
 class EpsilonStrategy:
-    """A strategy is the eps values each step tries, and whether a trial must raise the objective.
+    """A strategy is the candidates each step tries, and whether a trial must raise the objective.
 
-    ``_trial_epsilons(dataset, g)`` is called once per run and returns a
-    function of the current state giving the eps values to try, in order.
-    Monotone strategies name a ``_stall_reason``, reported when no trial helps.
+    ``_trials(dataset, g)`` is called once per run and returns a function of
+    the current state giving the evaluated candidates to try, in order (see
+    ``_candidate``). Monotone strategies name a ``_stall_reason``, reported
+    when no trial helps.
     """
 
     _stall_reason: ClassVar[str | None] = None
@@ -69,8 +70,8 @@ class FixedEpsilon(EpsilonStrategy):
         if not self.epsilon > 0:
             raise ValidationError("epsilon must be positive")
 
-    def _trial_epsilons(self, dataset, g):
-        return lambda state: (self.epsilon,)
+    def _trials(self, dataset, g):
+        return lambda state: (_trial(state, dataset, g, self.epsilon),)
 
 
 @dataclass(frozen=True)
@@ -80,9 +81,9 @@ class AdaptiveBackoff(EpsilonStrategy):
 
     _stall_reason = "no step-size trial increased the likelihood"
 
-    def _trial_epsilons(self, dataset, g):
-        trials = [math.inf] + [0.5**k for k in range(MAX_RETRIES)]
-        return lambda state: trials
+    def _trials(self, dataset, g):
+        epsilons = [math.inf] + [0.5**k for k in range(MAX_RETRIES)]
+        return lambda state: (_trial(state, dataset, g, eps) for eps in epsilons)
 
     def _stall_diagnostics(self, tried: list[float], best_delta: float) -> dict:
         return {**super()._stall_diagnostics(tried, best_delta), "smallest_epsilon": tried[-1]}
@@ -92,7 +93,7 @@ class AdaptiveBackoff(EpsilonStrategy):
 class LineSearchEpsilon(EpsilonStrategy):
     """Maximize the actual likelihood gain over eps at every step (see ``choose_epsilon_line_search``)."""
 
-    def _trial_epsilons(self, dataset, g):
+    def _trials(self, dataset, g):
         return lambda state: (choose_epsilon_line_search(state.rho, dataset, g, state=state)[0],)
 
 
@@ -114,12 +115,12 @@ class RandomEpsilon(EpsilonStrategy):
         if self.seed < 0:
             raise ValidationError("seed must be non-negative")
 
-    def _trial_epsilons(self, dataset, g):
+    def _trials(self, dataset, g):
         rng = np.random.default_rng(self.seed)  # one stream per run, drawn only as trials are tried
 
         def draws(state):
             for _ in range(MAX_RETRIES):
-                yield math.exp(rng.uniform(math.log(1e-4), math.log(self.epsilon_max)))
+                yield _trial(state, dataset, g, math.exp(rng.uniform(math.log(1e-4), math.log(self.epsilon_max))))
 
         return draws
 
@@ -187,8 +188,7 @@ def outcome_probabilities(rho, dataset: MeasurementRecord) -> np.ndarray:
 
 def log_likelihood(rho, dataset: MeasurementRecord) -> float:
     """sum_j f_j log pr_j with floored probabilities."""
-    pr = outcome_probabilities(rho, dataset)
-    return float(dataset.counts @ np.log(pr))
+    return float(dataset.counts @ np.log(outcome_probabilities(rho, dataset)))
 
 
 def r_operator(rho, dataset: MeasurementRecord) -> np.ndarray:
@@ -254,26 +254,32 @@ def likelihood_gain_first_order(rho, dataset: MeasurementRecord, eps: float) -> 
 
 
 # ---------------------------------------------------------------------------
-# exact gain profile along the step, in t = eps/(1 + eps)
+# exact gain profile along the step, in t = eps/(c + eps)
 
 
 class _GainProfile:
-    """The objective of a diluted step as an exact function of t = eps/(1 + eps) in [0, 1].
+    """The objective of a diluted step, and the step itself, as exact functions of t in [0, 1].
 
-    M = 1 + t (B - 1), so the unnormalized candidate is quadratic in t, and so
-    are every outcome trace q_j(t) and the normalizer gamma(t) (the trace, or
+    M = 1 + t (cB - 1) is 1 + eps B up to a factor at eps = c t/(1 - t). The
+    unnormalized candidate rho + t T1 + t^2 T2 is quadratic in t, and so are
+    every outcome trace q_j(t) and the normalizer gamma(t) (the trace, or
     tr(G .) with G-correction). F(t) = sum_j f_j log q_j(t) - N log gamma(t)
     has derivatives rational in the stored coefficients, which need no log.
+    c = 1/sqrt(tr(B rho B^dag)) makes the trace 1 at t = 0 and at t = 1. With
+    c = 1 the coefficients cancel at t = 1 when B is far from the identity in
+    scale, as G^-1 R ~ 1/tr(G rho) is on homodyne records: the trace there can
+    be 1e-6 of its terms, and traces read off the profile lose digits.
     """
 
     def __init__(self, state: _Step, dataset: MeasurementRecord, g: GOperator | None):
-        d = state.b - np.eye(dataset.dim)
+        self.c = 1.0 / math.sqrt(np.vdot(state.b, state.b @ state.rho).real)
+        d = self.c * state.b - np.eye(dataset.dim)
         dr = d @ state.rho
         t1, t2 = dr + dr.conj().T, dr @ d.conj().T
-        self._counts, self._total, self._base = dataset.counts, dataset.total, state.objective
+        self._counts, self._total = dataset.counts, dataset.total
+        self._rho, self._t1, self._t2, self._dataset, self._g = state.rho, t1, t2, dataset, g
         self._q = np.stack([state.traces, dataset.traces(t1), dataset.traces(t2)])
         self._s = np.array([1.0, t1.trace().real, t2.trace().real])
-        # without G, gamma is the trace and the log term of gain is log(1) = 0 exactly
         self._gamma = self._s if g is None else np.array([(g.matrix @ m).trace().real for m in (state.rho, t1, t2)])
 
     def derivatives(self, t: float) -> tuple[float, float]:
@@ -288,30 +294,31 @@ class _GainProfile:
         second = float(self._counts @ (2.0 * self._q[2] / q - ratio * ratio))
         return first, second - self._total * (2.0 * self._gamma[2] / (powers @ self._gamma) - dgamma**2)
 
-    def gain(self, t: float) -> float:
-        """F(t) - F(0) with floored probabilities, as the reconstruction loop evaluates the objective."""
+    def candidate(self, t: float) -> tuple:
+        """The step at t as a ``_candidate`` with traces read off the profile; t = 0 gives rho bit for bit."""
         powers = np.array([1.0, t, t * t])
         scale = float(powers @ self._s)
-        value = float(self._counts @ np.log(np.maximum((powers @ self._q) / scale, PROBABILITY_FLOOR)))
-        return value - self._total * math.log(float(powers @ self._gamma) / scale) - self._base
+        rho = hermitize(self._rho + t * self._t1 + (t * t) * self._t2) / scale
+        eps = math.inf if t == 1.0 else self.c * t / (1.0 - t)
+        return _candidate(eps, rho, (powers @ self._q) / scale, self._dataset, self._g)
 
 
 def choose_epsilon_line_search(
     rho, dataset: MeasurementRecord, g: GOperator | None = None, *, state: _Step | None = None
-) -> tuple[float, float]:
-    """Step size maximizing the actual likelihood gain, and that gain.
+) -> tuple[tuple, float]:
+    """The step maximizing the actual likelihood gain, as a ``_candidate`` tuple (eps first), and that gain.
 
     The search maximizes the exact gain profile F (see ``_GainProfile``) over
-    t = eps/(1 + eps) in [0, 1]. It takes t = 1, the quadratic step, where F
-    still rises; otherwise Newton steps on F' run inside a bracket with
-    F'(lo) >= 0 > F'(hi), and a step that leaves it, or where F'' >= 0, is
-    replaced by the midpoint. F need not be concave, so t is halved while the
-    gain is negative; as F rises from t = 0, the gain is never negative. The
+    t in [0, 1]. It takes t = 1, the quadratic step, where F still rises;
+    otherwise Newton steps on F' run inside a bracket with F'(lo) >= 0 >
+    F'(hi), and a step that leaves it, or where F'' >= 0, is replaced by the
+    midpoint. F need not be concave, so t is halved while the gain is
+    negative; as F rises from t = 0, the gain is never negative. The
     reconstruction loop passes its current ``state`` (rho with its traces, R,
     direction and objective) so they are not computed again.
     """
-    if state is None:
-        state = _step_at(_check_dims(rho, dataset), dataset, g)
+    if state is None:  # hermitized, as every iterate is, so that the candidate at t = 0 is rho bit for bit
+        state = _step_at(hermitize(_check_dims(rho, dataset)), dataset, g)
     profile = _GainProfile(state, dataset, g)
     lo, hi, t = 0.0, 1.0, 1.0
     for _ in range(NEWTON_STEPS):
@@ -321,22 +328,28 @@ def choose_epsilon_line_search(
         lo, hi = (t, hi) if first > 0.0 else (lo, t)
         step = t - first / second if second < 0.0 else math.nan
         t = step if lo < step < hi else 0.5 * (lo + hi)
-    while (gain := profile.gain(t)) < 0.0:
+    while (gain := (candidate := profile.candidate(t))[-1] - state.objective) < 0.0:
         t *= 0.5
-    return (math.inf if t == 1.0 else t / (1.0 - t)), gain
+    return candidate, gain
 
 
 # ---------------------------------------------------------------------------
 # the reconstruction loop
 
 
-def _objective_from_probs(
-    probs: np.ndarray, candidate: np.ndarray, dataset: MeasurementRecord, g: GOperator | None
-) -> float:
-    value = float(dataset.counts @ np.log(probs))
+def _candidate(eps: float, rho: np.ndarray, traces: np.ndarray, dataset: MeasurementRecord, g: GOperator | None):
+    """(eps, rho, traces, probs, objective); the objective is sum_j f_j log probs_j, less N log tr(G rho) given G."""
+    probs = np.maximum(traces, PROBABILITY_FLOOR)
+    objective = float(dataset.counts @ np.log(probs))
     if g is not None:
-        value -= dataset.total * math.log((g.matrix @ candidate).trace().real)
-    return value
+        objective -= dataset.total * math.log((g.matrix @ rho).trace().real)
+    return eps, rho, traces, probs, objective
+
+
+def _trial(state: _Step, dataset: MeasurementRecord, g: GOperator | None, eps: float) -> tuple:
+    """The evaluated candidate of the map at eps from ``state``."""
+    rho = _apply_map(state.rho, state.b, eps)
+    return _candidate(eps, rho, dataset.traces(rho), dataset, g)
 
 
 class _Step(NamedTuple):
@@ -355,33 +368,28 @@ class _Step(NamedTuple):
 
 def _step_at(rho: np.ndarray, dataset: MeasurementRecord, g: GOperator | None) -> _Step:
     """The state rho with its traces, R, direction and objective."""
-    traces = dataset.traces(rho)
-    probs = np.maximum(traces, PROBABILITY_FLOOR)
+    *_, traces, probs, objective = _candidate(math.nan, rho, dataset.traces(rho), dataset, g)
     r = _r_from_probs(dataset, probs)
-    return _Step(rho, traces, r, _direction(r, g), _objective_from_probs(probs, rho, dataset, g))
+    return _Step(rho, traces, r, _direction(r, g), objective)
 
 
 def _iterate(dataset: MeasurementRecord, strategy: EpsilonStrategy, g: GOperator | None, max_iterations: int):
     """Yield the maximally mixed state, then up to max_iterations accepted iterates.
 
-    Each step applies the map for the strategy's eps values in order and
-    accepts the first candidate; a monotone strategy accepts only a candidate
-    that raises the objective. When it accepts none, the last step yielded
-    repeats the current state with the stall diagnostics.
+    Each step takes the strategy's candidates in order and accepts the first;
+    a monotone strategy accepts only a candidate that raises the objective.
+    When it accepts none, the last step yielded repeats the current state with
+    the stall diagnostics.
     """
     if not isinstance(strategy, EpsilonStrategy):
         raise ValidationError(f"unknown step-size strategy {strategy!r}")
-    trial_epsilons = strategy._trial_epsilons(dataset, g)
+    trials = strategy._trials(dataset, g)
     state = _step_at(np.eye(dataset.dim, dtype=np.complex128) / dataset.dim, dataset, g)
     yield state
     previous = None  # the iterate before state, for cycle detection
     for _ in range(max_iterations):
         tried, best_delta = [], -math.inf
-        for eps in trial_epsilons(state):
-            candidate = _apply_map(state.rho, state.b, eps)
-            traces = dataset.traces(candidate)
-            probs = np.maximum(traces, PROBABILITY_FLOOR)
-            objective = _objective_from_probs(probs, candidate, dataset, g)
+        for eps, candidate, traces, probs, objective in trials(state):
             tried.append(eps)
             best_delta = max(best_delta, objective - state.objective)
             if strategy._stall_reason is None or objective > state.objective:

@@ -69,13 +69,14 @@ def sweep_iteration_counts(
 ) -> list[SweepRow]:
     """Iterations until max |rho - reference| falls below each tolerance, per eps.
 
-    One trajectory is run per eps (the iteration is deterministic, so every
-    tolerance reads its first-crossing step off the same trajectory). Rows are
-    ordered by (tolerance, eps) with eps = inf last; a trajectory that cycles
-    or runs out of iterations before crossing gets converged = False.
+    One trajectory is run per distinct eps (the iteration is deterministic, so
+    every tolerance reads its first-crossing step off the same trajectory).
+    Rows, one per distinct (eps, tolerance), are ordered by (tolerance, eps)
+    with eps = inf last; a trajectory that cycles or runs out of iterations
+    before crossing gets converged = False.
     """
-    eps_list = [float(e) for e in epsilons]
-    tol_list = sorted(float(t) for t in tolerances)
+    eps_list = sorted({float(e) for e in epsilons})
+    tol_list = sorted({float(t) for t in tolerances})
     if not eps_list or not tol_list:
         raise ValidationError("need at least one eps and one tolerance")
     if not all(x > 0 for x in eps_list + tol_list):
@@ -86,7 +87,7 @@ def sweep_iteration_counts(
     if reference.shape != (dataset.dim, dataset.dim) or not np.all(np.isfinite(reference)):
         raise ValidationError(f"reference must be a finite {dataset.dim}x{dataset.dim} matrix")
 
-    crossings: dict[tuple[float, float], int | None] = {}
+    rows = []
     for eps in eps_list:
         remaining = list(tol_list)  # ascending: loosest at the end, popped first
         steps = _iterate(dataset, FixedEpsilon(eps), None, max_iterations)
@@ -94,23 +95,8 @@ def sweep_iteration_counts(
         for iteration, step in enumerate(steps, start=1):
             distance = float(np.max(np.abs(step.rho - reference)))
             while remaining and distance < remaining[-1]:
-                crossings[(eps, remaining.pop())] = iteration
+                rows.append(SweepRow(epsilon=eps, tolerance=remaining.pop(), iterations=iteration, converged=True))
             if not remaining or step.cycled:
                 break  # after a period-two cycle no further progress is possible
-        for tol in remaining:
-            crossings[(eps, tol)] = None
-
-    rows = []
-    for tol in tol_list:
-        for eps in sorted(eps_list):
-            count = crossings[(eps, tol)]
-            rows.append(
-                SweepRow(
-                    epsilon=eps,
-                    tolerance=tol,
-                    iterations=count if count is not None else max_iterations,
-                    converged=count is not None,
-                )
-            )
-    return rows
-
+        rows += [SweepRow(epsilon=eps, tolerance=tol, iterations=max_iterations, converged=False) for tol in remaining]
+    return sorted(rows, key=lambda row: (row.tolerance, row.epsilon))

@@ -60,8 +60,9 @@ class TestDataset:
         "elements, counts, message",
         [(np.empty((0, 2, 2)), [], "dataset has no measurement records"),
          (np.eye(2), [1.0, 1.0], r"elements must be a \(k, dim, dim\) stack, got \(2, 2\)"),
-         (np.ones((1, 2, 3)), [1.0], r"elements must be a \(k, dim, dim\) stack, got \(1, 2, 3\)")],
-        ids=["no-outcomes", "one-matrix", "not-square"],
+         (np.ones((1, 2, 3)), [1.0], r"elements must be a \(k, dim, dim\) stack, got \(1, 2, 3\)"),
+         (np.zeros((2, 0, 0)), [1.0, 1.0], r"elements must be a \(k, dim, dim\) stack, got \(2, 0, 0\)")],
+        ids=["no-outcomes", "one-matrix", "not-square", "zero-dim"],
     )
     def test_rejects_malformed_stack(self, elements, counts, message):
         with pytest.raises(ValidationError, match=message):

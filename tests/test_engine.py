@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from qmaxlik import (
     LineSearchEpsilon,
     RandomEpsilon,
     ReconstructionConfig,
+    SimulationSpec,
     Termination,
     ValidationError,
     choose_epsilon_line_search,
@@ -23,8 +25,11 @@ from qmaxlik import (
     likelihood_gain_first_order,
     log_likelihood,
     outcome_probabilities,
+    preset_state,
+    quadrature_dataset,
     r_operator,
     reconstruct,
+    sample_quadratures,
 )
 from support import random_dataset, random_density, random_instance, random_pure_state
 
@@ -191,6 +196,21 @@ class TestGCorrectedStep:
         assert abs(fixed - 1 / 3) < 1e-3
 
 
+def _counted(d, calls):
+    """A copy of the record d that counts its trace and weighted-sum kernel calls in ``calls``."""
+
+    class Counted(Dataset):
+        def traces(self, matrix):
+            calls["traces"] += 1
+            return super().traces(matrix)
+
+        def weighted_sum(self, weights):
+            calls["weighted_sum"] += 1
+            return super().weighted_sum(weights)
+
+    return Counted(elements=d.elements, counts=d.counts)
+
+
 @pytest.fixture
 def incomplete_record():
     """POVM {|0><0|, |1><1|/2} with the exact expected counts of diag(1/3, 2/3)."""
@@ -209,37 +229,40 @@ class TestLineSearch:
         assert gain <= 1e-12
 
     def test_eps_positive(self, qubit_record):
-        eps, _ = choose_epsilon_line_search(UNIFORM, qubit_record)
+        (eps, *_), _ = choose_epsilon_line_search(UNIFORM, qubit_record)
         assert 0 < eps
 
     def test_gain_matches_actual_step(self, qubit_record):
-        eps, gain = choose_epsilon_line_search(UNIFORM, qubit_record)
+        (eps, *_), gain = choose_epsilon_line_search(UNIFORM, qubit_record)
         stepped = diluted_step(UNIFORM, qubit_record, eps)
         actual = log_likelihood(stepped, qubit_record) - log_likelihood(UNIFORM, qubit_record)
         assert gain == pytest.approx(actual, abs=1e-12)
 
-    def test_step_reuses_the_current_state(self):
+    @pytest.mark.parametrize("g_correction", [False, True])
+    def test_step_reuses_the_current_state(self, g_correction):
         calls = {"traces": 0, "weighted_sum": 0}
-
-        class Counted(Dataset):
-            def traces(self, matrix):
-                calls["traces"] += 1
-                return super().traces(matrix)
-
-            def weighted_sum(self, weights):
-                calls["weighted_sum"] += 1
-                return super().weighted_sum(weights)
-
         d = random_dataset(np.random.default_rng(5), 3)
-        config = ReconstructionConfig(strategy=LineSearchEpsilon(), max_iterations=6, tol_residual=1e-300,
-                                      tol_element=1e-300, tol_loglik=1e-300)
-        result = reconstruct(Counted(elements=d.elements, counts=d.counts), config)
+        if g_correction:
+            d = Dataset(elements=d.elements[:-1], counts=d.counts[:-1])
+        config = ReconstructionConfig(strategy=LineSearchEpsilon(), g_correction=g_correction, max_iterations=6,
+                                      tol_residual=1e-300, tol_element=1e-300, tol_loglik=1e-300)
+        result = reconstruct(_counted(d, calls), config)
         assert result.iterations == 6
-        # the start state, then per step the two gain-profile traces, the candidate's traces and its R
-        assert calls == {"traces": 1 + 3 * 6, "weighted_sum": 1 + 6}
+        # G's element sum, the start state, then per step the two gain-profile traces and the candidate's R
+        assert calls == {"traces": 1 + 2 * 6, "weighted_sum": g_correction + 1 + 6}
         plain = reconstruct(d, config)
         np.testing.assert_array_equal(result.estimate, plain.estimate)
         np.testing.assert_array_equal(result.epsilon_trace, plain.epsilon_trace)
+
+    def test_accepted_quadratic_step_builds_one_candidate(self):
+        """adaptive tries its step sizes lazily: a quadratic step that raises the objective costs one trace kernel."""
+        calls = {"traces": 0, "weighted_sum": 0}
+        d = random_dataset(np.random.default_rng(5), 3)
+        config = ReconstructionConfig(strategy=AdaptiveBackoff(), max_iterations=6, tol_residual=1e-300,
+                                      tol_element=1e-300, tol_loglik=1e-300)
+        result = reconstruct(_counted(d, calls), config)
+        assert result.iterations == 6 and np.all(np.isinf(result.epsilon_trace))
+        assert calls == {"traces": 1 + 6, "weighted_sum": 1 + 6}
 
     def test_profile_derivatives_match_finite_differences(self):
         rng = np.random.default_rng(8)
@@ -254,8 +277,9 @@ class TestLineSearch:
             for t in (0.1, 0.5, 0.9):
                 h = 1e-5
                 first, second = profile.derivatives(t)
-                slope = (profile.gain(t + h) - profile.gain(t - h)) / (2 * h)
-                curvature = (profile.gain(t + h) - 2 * profile.gain(t) + profile.gain(t - h)) / h**2
+                below, at, above = (profile.candidate(x)[-1] for x in (t - h, t, t + h))
+                slope = (above - below) / (2 * h)
+                curvature = (above - 2 * at + below) / h**2
                 assert first == pytest.approx(slope, rel=1e-6, abs=1e-8 * d.total)
                 assert second == pytest.approx(curvature, rel=1e-3, abs=1e-4 * d.total)
 
@@ -264,7 +288,8 @@ class TestLineSearch:
         rho, d = random_instance(rng, dim=3)
         profile = engine._GainProfile(engine._step_at(rho, d, None), d, None)
         r = r_operator(rho, d)
-        assert profile.derivatives(0.0)[0] == pytest.approx(2 * d.total * ((r @ rho @ r).trace().real - 1))
+        slope = 2 * profile.c * d.total * ((r @ rho @ r).trace().real - 1)  # along M = 1 + t (cR - 1)
+        assert profile.derivatives(0.0)[0] == pytest.approx(slope)
 
 
 def _objective(rho, d, g):
@@ -281,7 +306,9 @@ def _objective(rho, d, g):
     g_correction=st.booleans(),
 )
 def test_line_search_property(seed, dim, extra_outcomes, mixing, g_correction):
-    """The gain is never negative, is the objective change of the step taken, and t is a stationary point or 1."""
+    """The gain is never negative, is the objective change of the step taken, and t is a stationary point or 1.
+
+    The candidate read off the gain profile is the diluted step at its eps, with that step's traces."""
     rng = np.random.default_rng(seed)
     d = random_dataset(rng, dim, dim + extra_outcomes + g_correction)
     g = None
@@ -291,14 +318,32 @@ def test_line_search_property(seed, dim, extra_outcomes, mixing, g_correction):
     psi = random_pure_state(rng, dim)
     rho = (1 - mixing) * np.outer(psi, psi.conj()) + mixing * random_density(rng, dim)
 
-    eps, gain = choose_epsilon_line_search(rho, d, g)
+    (eps, candidate, traces, _, _), gain = choose_epsilon_line_search(rho, d, g)
     assert gain >= 0
+    stepped = diluted_step(rho, d, eps, g)
+    np.testing.assert_allclose(candidate, stepped, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(traces, d.traces(candidate), rtol=0, atol=1e-12)
     before = _objective(rho, d, g)
-    actual = _objective(diluted_step(rho, d, eps, g), d, g) - before
+    actual = _objective(stepped, d, g) - before
     assert gain == pytest.approx(actual, rel=1e-9, abs=1e-12 * abs(before))
-    t = 1.0 if math.isinf(eps) else eps / (1 + eps)
-    slope, _ = engine._GainProfile(engine._step_at(rho, d, g), d, g).derivatives(t)
+    profile = engine._GainProfile(engine._step_at(rho, d, g), d, g)
+    t = 1.0 if math.isinf(eps) else eps / (profile.c + eps)  # eps = c t/(1 - t)
+    slope, _ = profile.derivatives(t)
     assert (t == 1.0 and slope >= 0) or abs(slope) <= 1e-8 * d.total
+
+
+def test_line_search_gain_is_exact_on_g_corrected_homodyne_data():
+    """On homodyne records G^-1 R is about 1/tr(G rho), far from the identity in scale. The gain read off the
+    profile is still the objective change of the step, and the run does not stop early on a misread gain."""
+    spec = SimulationSpec(state=preset_state("superposition01", 6), seed=0, count=3000)
+    d = quadrature_dataset(*sample_quadratures(spec, np.linspace(0.0, np.pi, 6, endpoint=False), 6), 6)
+    g = GOperator.from_dataset(d)
+    for state in itertools.islice(engine._iterate(d, LineSearchEpsilon(), g, 7), 8):
+        (eps, *_), gain = choose_epsilon_line_search(state.rho, d, g, state=state)
+        actual = _objective(diluted_step(state.rho, d, eps, g), d, g) - _objective(state.rho, d, g)
+        assert gain == pytest.approx(actual, rel=1e-9)
+    result = reconstruct(d, ReconstructionConfig(strategy=LineSearchEpsilon(), g_correction=True, max_iterations=10))
+    assert result.termination is Termination.MAX_ITERATIONS
 
 
 def test_line_search_needs_few_derivative_evaluations(monkeypatch):
@@ -337,11 +382,15 @@ def test_line_search_needs_few_derivative_evaluations(monkeypatch):
 
 def test_negative_gain_halves_t(monkeypatch, qubit_record):
     """Where the gain at the stationary point is negative, t is halved until it is not."""
-    monkeypatch.setattr(engine._GainProfile, "gain", lambda self, t: -1.0 if t > 0.2 else t)
-    t_star = 3 * (3 - 2 * math.sqrt(2))  # the maximizer from the uniform state, eps = 3/(2 sqrt 2)
-    eps, gain = choose_epsilon_line_search(UNIFORM, qubit_record)
+    before, candidate = engine._step_at(UNIFORM, qubit_record, None).objective, engine._GainProfile.candidate
+    monkeypatch.setattr(engine._GainProfile, "candidate",
+                        lambda self, t: (*candidate(self, t)[:-1], before + (-1.0 if t > 0.2 else t)))
+    eps_star = 3 / (2 * math.sqrt(2))  # the maximizer from the uniform state
+    c = 3 / math.sqrt(10)  # 1/sqrt(tr(R rho R)) at the uniform state, R = diag(2/3, 4/3)
+    t_star = eps_star / (c + eps_star)
+    (eps, *_), gain = choose_epsilon_line_search(UNIFORM, qubit_record)
     assert gain == pytest.approx(t_star / 4, rel=1e-9)
-    assert eps == pytest.approx(gain / (1 - gain), rel=1e-9)
+    assert eps == pytest.approx(c * gain / (1 - gain), rel=1e-9)
 
 
 @pytest.mark.parametrize("value", [math.nan, 0.0, -1e-8])

@@ -8,6 +8,7 @@ from qmaxlik import (
     ValidationError,
     counterexample_dataset,
     reference_solution,
+    sweep,
     sweep_iteration_counts,
 )
 from support import random_dataset
@@ -65,6 +66,20 @@ class TestIterationCounts:
         rows = sweep_iteration_counts(d, reference, [1.0], [1e-4])
         rows2 = sweep_iteration_counts(d, reference, [1.0], [1e-4])
         assert rows == rows2
+
+    def test_duplicate_inputs_run_once_and_give_one_row(self, monkeypatch):
+        d = counterexample_dataset()
+        reference = reference_solution(d).estimate
+        trajectories, iterate = [], sweep._iterate
+
+        def counted(*args):
+            trajectories.append(args[1])
+            return iterate(*args)
+
+        monkeypatch.setattr(sweep, "_iterate", counted)
+        rows = sweep_iteration_counts(d, reference, [1, 1.0], [1e-3, 1e-3])
+        assert len(trajectories) == 1
+        assert rows == sweep_iteration_counts(d, reference, [1.0], [1e-3])
 
     def test_rejects_empty_lists(self):
         with pytest.raises(ValidationError):
