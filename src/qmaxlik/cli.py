@@ -19,7 +19,6 @@ import numpy as np
 
 from . import io
 from .engine import (
-    PROBABILITY_FLOOR,
     AdaptiveBackoff,
     FixedEpsilon,
     LineSearchEpsilon,
@@ -32,7 +31,7 @@ from .errors import ConvergenceError, DataFormatError, ValidationError
 from .operators import validate_density
 from .povm import projector_from_state
 from .simulate import RNG_ALGORITHM, SimulationSpec, preset_state, sample_counts, sample_quadratures
-from .sweep import REFERENCE_TOLERANCE, reference_solution, sweep_iteration_counts
+from .sweep import DEFAULT_MAX_ITERATIONS, reference_solution, sweep_iteration_counts
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -40,9 +39,9 @@ EXIT_VALIDATION = 3
 EXIT_NO_CONVERGENCE = 4
 
 CONVERGED = (Termination.RESIDUAL_MET, Termination.ELEMENT_CHANGE_MET)
-# Part of the sweep's cache key; bump it whenever a change to the solver alters
-# the reference solutions it writes, even in their last bits.
-REFERENCE_CACHE_FORMAT = 4
+# Part of the sweep's cache key: the package's sources and the numpy version that solve a reference.
+SOLVER_DIGEST = hashlib.sha256(b"".join(path.read_bytes() for path in sorted(Path(__file__).parent.glob("*.py")))
+                               + np.__version__.encode()).hexdigest()
 
 
 def _fixed_epsilon(args) -> FixedEpsilon:
@@ -123,8 +122,7 @@ def _cached_reference(dataset_path: Path, dataset, dim, max_iters: int, cache_di
 
     An entry that is not a density matrix of the dataset's dimension is a miss.
     """
-    key = (f"|dim={dim}|max_iters={max_iters}|floor={PROBABILITY_FLOOR!r}"
-           f"|tolerance={REFERENCE_TOLERANCE!r}|format={REFERENCE_CACHE_FORMAT}")
+    key = f"|dim={dim}|max_iters={max_iters}|solver={SOLVER_DIGEST}"
     digest = hashlib.sha256(dataset_path.read_bytes() + key.encode()).hexdigest()
     cache_file = cache_dir / f"reference-{digest[:24]}.json"
     if cache_file.exists():
@@ -177,6 +175,8 @@ def cmd_simulate(args) -> int:
     if args.format == "quadrature" and args.phases < 1:
         raise ValidationError("--phases must be at least 1")
     out = io.writable_path(args.out)
+    if out.suffix.lower() == {"quadrature": ".json", "counts": ".csv"}[args.format]:
+        raise ValidationError(f"--format {args.format} cannot be written to a {out.suffix} file")
 
     start = time.perf_counter()
     if args.format == "quadrature":
@@ -222,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--out", required=True, help="output CSV path")
     sw.add_argument("--epsilons", default="0.1,1,10,100,inf", help="comma list; 'inf' = plain update")
     sw.add_argument("--tolerances", default="1e-3,1e-5,1e-7", help="comma list of tolerances")
-    sw.add_argument("--max-iters", type=int, default=20000)
+    sw.add_argument("--max-iters", type=int, default=DEFAULT_MAX_ITERATIONS)
     sw.add_argument("--dim", type=int, default=None, help="truncation for quadrature CSV input")
     sw.add_argument("--cache-dir", default=None, help="reference-solution cache (default: beside --out)")
     sw.set_defaults(func=cmd_sweep)

@@ -11,10 +11,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .operators import HERMITICITY_ATOL, PSD_ATOL, eigendecompose, hermitize
+from .operators import _check_hermitian_psd, eigendecompose, hermitize
 
-G_INVERSE_ATOL = 1e-8
-G_CONDITION_LIMIT = 1e12  # GOperator.from_dataset refuses a worse-conditioned element sum
+G_CONDITION_LIMIT = 1e12  # GOperator refuses a worse-conditioned element sum
 
 
 def _checked_counts(counts, n_outcomes: int) -> np.ndarray:
@@ -65,17 +64,12 @@ class Dataset(MeasurementRecord):
 
     def __post_init__(self):
         elements = np.asarray(self.elements, dtype=np.complex128)
-        if not np.all(np.isfinite(elements)):  # NaN would pass the Hermiticity and eigenvalue checks
+        if not np.all(np.isfinite(elements)):
             raise ValidationError("measurement elements must be finite")
         if elements.ndim != 3 or elements.shape[1] != elements.shape[2] or elements.shape[1] < 1:
             raise ValidationError(f"elements must be a (k, dim, dim) stack, got {elements.shape}")
         counts = _checked_counts(self.counts, elements.shape[0])
-        skew = np.max(np.abs(elements - elements.conj().transpose(0, 2, 1)))
-        if skew > HERMITICITY_ATOL:
-            raise ValidationError(f"a measurement element is non-Hermitian by {skew:.3e}")
-        lowest = np.min(np.linalg.eigvalsh(elements))
-        if lowest < -PSD_ATOL:
-            raise ValidationError(f"a measurement element has eigenvalue {lowest:.3e} < -{PSD_ATOL:.0e}")
+        _check_hermitian_psd(elements)
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "counts", counts)
 
@@ -144,10 +138,8 @@ class QuadratureDataset(MeasurementRecord):
             raise ValidationError("psi and thetas must be finite")
         phases, index, sizes = np.unique(thetas, return_inverse=True, return_counts=True)
         big = sizes >= POOLED_BELOW
-        in_group = big[index]
         # the samples on large phases, sorted by phase, then the pooled samples in input order
-        order = np.concatenate([np.flatnonzero(in_group)[np.argsort(index[in_group], kind="stable")],
-                                np.flatnonzero(~in_group)])
+        order = np.argsort(np.where(big[index], index, phases.size), kind="stable")
         ends = np.cumsum(sizes[big])
         *blocks, rest = np.split(psi[order], ends)
         u = np.exp(1j * np.outer(phases[big], np.arange(psi.shape[1])))  # diagonal of D per grouped phase
@@ -193,29 +185,28 @@ class QuadratureDataset(MeasurementRecord):
 
 @dataclass(frozen=True)
 class GOperator:
-    """Sum of the dataset's measurement elements together with its inverse.
+    """Sum of a record's measurement elements, with its inverse and condition derived from it.
 
     Used to debias reconstructions when the POVM does not sum to the identity.
-    ``condition`` is the ratio of extreme eigenvalues of the sum.
+    ``condition`` is the ratio of extreme eigenvalues of the sum (stored as its Hermitian part).
     """
 
     matrix: np.ndarray
-    inverse: np.ndarray
-    condition: float = field(default=1.0)
+    inverse: np.ndarray = field(init=False)
+    condition: float = field(init=False)
 
     @classmethod
     def from_dataset(cls, dataset: MeasurementRecord) -> "GOperator":
-        matrix = hermitize(dataset.element_sum())
+        return cls(dataset.element_sum())
+
+    def __post_init__(self):
+        matrix = hermitize(self.matrix)
         values, vectors = eigendecompose(matrix)
         lo, hi = values[-1], values[0]
-        if lo <= 0.0 or hi / lo > G_CONDITION_LIMIT:
+        if not (lo > 0.0 and hi / lo <= G_CONDITION_LIMIT):
             raise ValidationError(
                 f"element sum is singular or ill-conditioned (eigenvalues in [{lo:.3e}, {hi:.3e}])"
             )
-        inverse = (vectors / values) @ vectors.conj().T
-        return cls(matrix=matrix, inverse=hermitize(inverse), condition=float(hi / lo))
-
-    def __post_init__(self):
-        residual = np.max(np.abs(self.matrix @ self.inverse - np.eye(self.matrix.shape[0])))
-        if residual > G_INVERSE_ATOL:
-            raise ValidationError(f"inverse check failed: |G G^-1 - 1| = {residual:.3e}")
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "inverse", hermitize((vectors / values) @ vectors.conj().T))
+        object.__setattr__(self, "condition", float(hi / lo))

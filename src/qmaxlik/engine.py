@@ -39,6 +39,7 @@ SLOPE_RESOLUTION = 1e-13  # a line-search slope within this fraction of its term
 NEWTON_STEPS = 60  # at most this many Newton or bisection steps per line search
 QUADRATIC_EPSILON = 2.0**53  # a finite eps from here on is the quadratic step: 1/(1 + eps) is below double precision
 MAX_RETRIES = 60  # finite eps values AdaptiveBackoff and RandomEpsilon try per step before a stall
+RANDOM_EPSILON_MIN = 1e-4  # RandomEpsilon draws eps above this
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +100,7 @@ class LineSearchEpsilon(EpsilonStrategy):
 
 @dataclass(frozen=True)
 class RandomEpsilon(EpsilonStrategy):
-    """Draw eps log-uniformly from (1e-4, epsilon_max], redrawing until the
+    """Draw eps log-uniformly from (RANDOM_EPSILON_MIN, epsilon_max], redrawing until the
     likelihood increases (up to MAX_RETRIES attempts per step)."""
 
     epsilon_max: float = 10.0
@@ -108,7 +109,7 @@ class RandomEpsilon(EpsilonStrategy):
     _stall_reason = "no random step size increased the likelihood"
 
     def __post_init__(self):
-        if not self.epsilon_max > 1e-4:
+        if not self.epsilon_max > RANDOM_EPSILON_MIN:
             raise ValidationError("epsilon_max must exceed the 1e-4 lower sampling bound")
         if math.isinf(self.epsilon_max):
             raise ValidationError("epsilon_max must be finite")
@@ -120,7 +121,8 @@ class RandomEpsilon(EpsilonStrategy):
 
         def draws(state):
             for _ in range(MAX_RETRIES):
-                yield _trial(state, dataset, g, math.exp(rng.uniform(math.log(1e-4), math.log(self.epsilon_max))))
+                eps = math.exp(rng.uniform(math.log(RANDOM_EPSILON_MIN), math.log(self.epsilon_max)))
+                yield _trial(state, dataset, g, eps)
 
         return draws
 

@@ -2,9 +2,9 @@
 
 Operators (states, measurement elements, iteration maps) are plain complex128
 numpy arrays; the functions here enforce the invariants the rest of the package
-relies on: Hermiticity to 1e-12, unit trace to 1e-10, and positive
-semidefiniteness up to a -1e-8 eigenvalue floor (roundoff accumulated over
-thousands of iterations).
+relies on. A measurement element is Hermitian to 1e-12 and positive semidefinite
+up to a -1e-8 eigenvalue floor (roundoff accumulated over thousands of iterations);
+a density matrix meets one tolerance, 1e-8 by default, for Hermiticity, unit trace and that floor.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import numpy as np
 from .errors import ValidationError
 
 HERMITICITY_ATOL = 1e-12
-TRACE_ATOL = 1e-10
 PSD_ATOL = 1e-8
 TRACE_FLOOR = 1e-10  # normalize refuses a trace at or below this
 
@@ -36,11 +35,6 @@ def hermitize(m) -> np.ndarray:
     """
     a = as_operator(m)
     return 0.5 * (a + a.conj().T)
-
-
-def is_hermitian(m, atol: float = HERMITICITY_ATOL) -> bool:
-    a = as_operator(m)
-    return bool(np.max(np.abs(a - a.conj().T), initial=0.0) <= atol)
 
 
 def normalize(m) -> np.ndarray:
@@ -71,35 +65,35 @@ def eigendecompose(m) -> tuple[np.ndarray, np.ndarray]:
     return values[::-1].copy(), vectors[:, ::-1].copy()
 
 
-def min_eigenvalue(m) -> float:
-    return float(np.linalg.eigvalsh(as_operator(m))[0])
+def _check_hermitian_psd(stack: np.ndarray, hermiticity_atol: float = HERMITICITY_ATOL,
+                         psd_atol: float = PSD_ATOL, name: str = "a measurement element") -> None:
+    """Raise ValidationError unless every matrix of the (k, dim, dim) stack is Hermitian to
+    ``hermiticity_atol`` and has no eigenvalue below ``-psd_atol``; a NaN entry fails."""
+    skew = np.max(np.abs(stack - stack.conj().transpose(0, 2, 1)))
+    if not skew <= hermiticity_atol:
+        raise ValidationError(f"{name} is not Hermitian: skew {skew:.3e} > {hermiticity_atol:.0e}")
+    lowest = np.min(np.linalg.eigvalsh(stack))
+    if not lowest >= -psd_atol:
+        raise ValidationError(f"{name} is not positive semidefinite: eigenvalue {lowest:.3e} < -{psd_atol:.0e}")
 
 
 def validate_density(m, tol: float = PSD_ATOL) -> np.ndarray:
-    """Check that ``m`` is a density matrix: Hermitian, trace 1 within ``tol``, eigenvalues >= -tol.
+    """Check that ``m`` is a density matrix: trace 1 within ``tol``, Hermitian, eigenvalues >= -tol.
 
     Returns the validated matrix unchanged so the call can be chained.
     """
     a = as_operator(m)
-    if not is_hermitian(a, atol=max(HERMITICITY_ATOL, tol)):
-        raise ValidationError("matrix is not Hermitian")
     tr = a.trace().real
     if abs(tr - 1.0) > tol:
         raise ValidationError(f"trace {tr!r} differs from 1 by more than {tol:.1e}")
-    lo = min_eigenvalue(a)
-    if lo < -tol:
-        raise ValidationError(f"matrix is not positive semidefinite: min eigenvalue {lo:.3e}")
+    _check_hermitian_psd(a[None], max(HERMITICITY_ATOL, tol), tol, "matrix")
     return a
 
 
-def validate_povm_element(m, tol: float = PSD_ATOL) -> np.ndarray:
-    """Check that ``m`` is a valid measurement element (Hermitian, PSD within ``tol``)."""
+def validate_povm_element(m) -> np.ndarray:
+    """Check that ``m`` is a valid measurement element (Hermitian to HERMITICITY_ATOL, PSD to PSD_ATOL)."""
     a = as_operator(m)
-    if not is_hermitian(a, atol=max(HERMITICITY_ATOL, tol)):
-        raise ValidationError("measurement element is not Hermitian")
-    lo = min_eigenvalue(a)
-    if lo < -tol:
-        raise ValidationError(f"measurement element is not PSD: min eigenvalue {lo:.3e}")
+    _check_hermitian_psd(a[None])
     return a
 
 

@@ -29,6 +29,7 @@ from .engine import (
 from .errors import ConvergenceError, ValidationError
 
 REFERENCE_TOLERANCE = 1e-10
+DEFAULT_MAX_ITERATIONS = 20000  # default iteration cap of the reference solve and of each trajectory
 
 
 @dataclass(frozen=True)
@@ -39,7 +40,8 @@ class SweepRow:
     converged: bool
 
 
-def reference_solution(dataset: MeasurementRecord, max_iterations: int = 20000) -> ReconstructionResult:
+def reference_solution(dataset: MeasurementRecord,
+                       max_iterations: int = DEFAULT_MAX_ITERATIONS) -> ReconstructionResult:
     """High-accuracy solve used as the comparison point of a sweep.
 
     A ``likelihood_stalled`` stop is accepted, though no bound on its likelihood gap is checked.
@@ -65,7 +67,7 @@ def sweep_iteration_counts(
     reference: np.ndarray,
     epsilons,
     tolerances,
-    max_iterations: int = 20000,
+    max_iterations: int = DEFAULT_MAX_ITERATIONS,
 ) -> list[SweepRow]:
     """Iterations until max |rho - reference| falls below each tolerance, per eps.
 

@@ -98,9 +98,14 @@ class TestGOperator:
             g = GOperator.from_dataset(d)
             assert np.max(np.abs(g.matrix @ g.inverse - np.eye(d.dim))) <= 1e-8
 
-    def test_wrong_inverse_rejected(self):
-        with pytest.raises(ValidationError, match="inverse check failed"):
-            GOperator(matrix=np.eye(2), inverse=2.0 * np.eye(2))
+    def test_inverse_and_condition_derived_from_matrix(self):
+        g = GOperator(np.diag([1.0, 4.0]))
+        assert g.condition == 4.0
+        np.testing.assert_array_equal(g.inverse, np.diag([1.0, 0.25]))
+
+    def test_ill_conditioned_matrix_rejected(self):
+        with pytest.raises(ValidationError, match="ill-conditioned"):
+            GOperator(np.diag([1.0, 1e-14]))
 
     def test_singular_sum_rejected(self):
         # element supported on |0> only: the sum cannot be inverted on a qubit

@@ -427,6 +427,13 @@ class TestCliSimulate:
         assert capsys.readouterr().err.startswith("validation error:")
         assert not out.exists()
 
+    @pytest.mark.parametrize("fmt, name", [("counts", "c.csv"), ("quadrature", "q.json"), ("quadrature", "q.JSON")])
+    def test_format_contradicting_out_extension_exit_three(self, tmp_path, capsys, fmt, name):
+        out = tmp_path / name
+        assert main(["simulate", "--n", "10", "--dim", "2", "--format", fmt, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"validation error: --format {fmt} cannot be written to a {out.suffix} file\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_simulate_then_reconstruct_vacuum(self, tmp_path):
         data = tmp_path / "vac.csv"
         assert main(["simulate", "--preset", "vacuum", "--dim", "6", "--n", "4000", "--phases", "6", "--seed", "2", "--out", str(data)]) == 0
@@ -537,14 +544,17 @@ class TestCliSweep:
         assert warm.read_bytes() == cold.read_bytes()
         assert cached.read_bytes() == intact
 
-    def test_cache_entry_of_other_max_iters_is_a_miss(self, tmp_path, counterexample_json):
+    @pytest.mark.parametrize("change", ["max_iters", "solver"])
+    def test_cache_entry_of_other_key_is_a_miss(self, tmp_path, counterexample_json, monkeypatch, change):
         cache = tmp_path / "cache"
         args = ["sweep", str(counterexample_json), "--epsilons", "1", "--tolerances", "1e-4",
                 "--cache-dir", str(cache), "--out", str(tmp_path / "sweep.csv")]
         assert main(args + ["--max-iters", "300"]) == 0
         (first,) = cache.glob("reference-*.json")
         stamp = first.stat().st_mtime_ns
-        assert main(args + ["--max-iters", "400"]) == 0
+        if change == "solver":  # as after an edit to the package's sources or another numpy
+            monkeypatch.setattr(cli, "SOLVER_DIGEST", "0" * 64)
+        assert main(args + ["--max-iters", "400" if change == "max_iters" else "300"]) == 0
         assert len(list(cache.glob("reference-*.json"))) == 2  # solved again, under its own key
         assert first.stat().st_mtime_ns == stamp
 

@@ -85,8 +85,9 @@ class TestValidateDensity:
             validate_density(np.diag([0.7, 0.7]))
 
     def test_povm_element_non_hermitian_rejected(self):
-        with pytest.raises(ValidationError, match="measurement element is not Hermitian"):
-            validate_povm_element(np.array([[1.0, 0.5], [0.0, 1.0]]))
+        for skew in (0.5, 1e-10):  # 1e-10: the Hermiticity tolerance is Dataset's 1e-12
+            with pytest.raises(ValidationError, match="a measurement element is not Hermitian: skew"):
+                validate_povm_element(np.array([[1.0, skew], [0.0, 1.0]]))
 
     def test_povm_element_returned_unchanged(self):
         element = np.array([[0.5, 0.25j], [-0.25j, 0.5]])
