@@ -175,8 +175,9 @@ def cmd_simulate(args) -> int:
     if args.format == "quadrature" and args.phases < 1:
         raise ValidationError("--phases must be at least 1")
     out = io.writable_path(args.out)
-    if out.suffix.lower() == {"quadrature": ".json", "counts": ".csv"}[args.format]:
-        raise ValidationError(f"--format {args.format} cannot be written to a {out.suffix} file")
+    suffix = {"quadrature": ".csv", "counts": ".json"}[args.format]
+    if out.suffix.lower() != suffix:  # reconstruct reads a dataset by its extension
+        raise ValidationError(f"--format {args.format} is written to a {suffix} file, not {out.name}")
 
     start = time.perf_counter()
     if args.format == "quadrature":

@@ -6,6 +6,7 @@ homodyne data with count 1 each) all fit the same container.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -86,12 +87,73 @@ class Dataset(MeasurementRecord):
         return np.einsum("k,kij->ij", weights, self.elements)
 
 
+def wavefunction_table(dim: int, x) -> np.ndarray:
+    """Stack psi_0 .. psi_{dim-1} evaluated at ``x``; shape (dim, len(x)).
+
+    Row n is the normalized harmonic-oscillator eigenfunction psi_n. The rows
+    come from the stable three-term recurrence on the normalized functions
+    (raw Hermite polynomials overflow long before n = 14 at |x| ~ 10):
+
+        psi_{n+1} = sqrt(2/(n+1)) x psi_n - sqrt(n/(n+1)) psi_{n-1}
+    """
+    if dim < 1:
+        raise ValidationError("dimension must be at least 1")
+    xs = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    if not np.all(np.isfinite(xs)):
+        raise ValidationError("quadrature values must be finite")
+    table = np.empty((dim, xs.size), dtype=np.float64)
+    table[0] = np.pi ** -0.25 * np.exp(-0.5 * xs * xs)
+    if dim > 1:
+        table[1] = np.sqrt(2.0) * xs * table[0]
+    for n in range(1, dim - 1):
+        table[n + 1] = np.sqrt(2.0 / (n + 1)) * xs * table[n] - np.sqrt(n / (n + 1.0)) * table[n - 1]
+    return table
+
+
+def fock_amplitudes(thetas, xs, dim: int) -> np.ndarray:
+    """(m, dim) table of <n|chi_k> = exp(i n theta_k) psi_n(x_k), the amplitudes of the homodyne elements."""
+    return np.exp(1j * np.outer(thetas, np.arange(dim))) * wavefunction_table(dim, xs).T
+
+
+def product_basis(dim: int, x) -> np.ndarray:
+    """phi_0 .. phi_{2 dim - 2} evaluated at ``x``, phi_j(x) = 2^(1/4) psi_j(sqrt(2) x); shape (2 dim - 1, len(x))."""
+    table = wavefunction_table(2 * dim - 1, np.sqrt(2.0) * np.asarray(x, dtype=np.float64))
+    table *= 2.0**0.25
+    return table
+
+
+@functools.lru_cache(maxsize=None)
+def product_table(dim: int) -> np.ndarray:
+    """The (dim^2, 2 dim - 1) table L with psi_a psi_b = sum_j L[a dim + b, j] phi_j.
+
+    psi_a psi_b is exp(-x^2) times a polynomial of degree a + b, and the phi_j
+    are orthonormal and span exactly those functions, so L[ab, j] is the
+    integral of psi_a psi_b phi_j. In y = sqrt(2) x that integrand is exp(-y^2)
+    times a polynomial of degree at most 4 dim - 4, which the 2 dim node
+    Gauss-Hermite rule integrates exactly. Its nodes are the eigenvalues of the
+    Jacobi matrix with off-diagonal sqrt(k/2) (Golub-Welsch), and the weight
+    of exp(-y^2) p(y) at node y is 1 / sum_{n < 2 dim} psi_n(y)^2.
+    """
+    n = 2 * dim
+    off = np.sqrt(np.arange(1, n) / 2.0)
+    y = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    x = y / np.sqrt(2.0)
+    weights = 1.0 / (np.sqrt(2.0) * np.sum(wavefunction_table(n, y) ** 2, axis=0))  # dx = dy / sqrt(2)
+    psi = wavefunction_table(dim, x)
+    products = (psi[:, None, :] * psi[None, :, :]).reshape(dim * dim, n)
+    table = (products * weights) @ product_basis(dim, x).T
+    table.flags.writeable = False
+    return table
+
+
 # A phase with fewer samples than this joins the pooled block. Per call of both
-# kernels a phase group has about 10 us of fixed cost (its slices, twist and two
-# small BLAS calls), then 0.04-0.07 us per sample; a pooled sample costs 0.1 us
-# at dim 6 and 0.27 us at dim 15. Timed with one BLAS thread on a 2-core x86-64
-# box, groups won from about 100 samples per phase at dim 6, 55 at dim 15 and 45
-# at dim 30.
+# kernels a phase group has a fixed cost (its slice, coefficients and two GEMVs)
+# of about 2.5 us at dim 6, 4.5 us at dim 15 and 14 us at dim 30, then 0.02-0.05
+# us per sample; a pooled sample costs 0.06, 0.2 and 0.5 us. Timed with one BLAS
+# thread on a 2-core x86-64 box, groups won from about 70 samples per phase at
+# dim 6, 26 at dim 15 and 32 at dim 30. On 150 phases of 8 to 160 samples each,
+# a cut-off of 48 was 2-7% faster than 64 at dims 15 and 30 and 1-6% slower at
+# dim 6, so the cut-off stays.
 POOLED_BELOW = 64
 
 
@@ -101,74 +163,78 @@ class QuadratureDataset(MeasurementRecord):
 
     Sample k is the element |chi_k><chi_k| with Fock amplitudes
     <n|chi_k> = exp(i n theta_k) psi_n(x_k), where the wavefunctions psi_n are
-    real. The record stores the real table psi and the phases, never the
-    elements, so it takes O(m dim) memory for m samples. The samples are
-    grouped by phase: on a phase theta with D = diag(exp(i n theta)) and
-    sample rows P,
+    real. The record never stores the elements. The samples are grouped by
+    phase, and a grouped sample is stored as its column Phi[:, k] of the
+    product basis (``product_basis``, ``product_table``): psi_a(x) psi_b(x) =
+    sum_j L[ab, j] phi_j(x) with 2 dim - 1 functions phi_j. On a phase theta
+    with D = diag(exp(i n theta)) and A = Re(D^dag M D),
 
-        tr(Pi_k M) = psi_k^T Re(D^dag M D) psi_k      (M Hermitian),
-        sum_k w_k Pi_k = D (P^T diag(w) P) D^dag,
+        tr(Pi_k M) = Phi[:, k] . c,      c = L^T vec(A)      (M Hermitian),
+        sum_k w_k Pi_k = D reshape(L mu) D^dag,      mu = sum_k w_k Phi[:, k],
 
-    both real matrix products. Phases with fewer than POOLED_BELOW samples go
-    to one pooled block that works on the complex rows chi_k instead.
-    Outcome k is always sample k, in input order.
+    one matrix-vector product per phase and kernel. Phases with fewer than
+    POOLED_BELOW samples go to one pooled block that works on the complex
+    rows chi_k instead. Outcome k is always sample k, in input order.
 
     Attributes
     ----------
-    psi : (m, dim) float array, psi[k, n] = psi_n(x_k).
     thetas : (m,) float array, the local-oscillator phase of each sample.
+    xs : (m,) float array, the quadrature value of each sample.
     counts : (m,) float array of non-negative occurrence counts.
+    dim : the Fock-space truncation d.
     """
 
-    psi: np.ndarray
     thetas: np.ndarray
+    xs: np.ndarray
     counts: np.ndarray
+    dim: int
 
     def __post_init__(self):
-        if np.iscomplexobj(self.psi):
-            raise ValidationError("the wavefunction table psi must be real")
-        psi = np.asarray(self.psi, dtype=np.float64)
+        if np.iscomplexobj(self.thetas) or np.iscomplexobj(self.xs):
+            raise ValidationError("thetas and xs must be real")
         thetas = np.asarray(self.thetas, dtype=np.float64)
-        if psi.ndim != 2 or psi.shape[1] < 1:
-            raise ValidationError(f"psi must be a (samples, dim) table, got {psi.shape}")
-        if thetas.shape != psi.shape[:1]:
-            raise ValidationError(f"thetas shape {thetas.shape} does not match {psi.shape[0]} samples")
-        counts = _checked_counts(self.counts, psi.shape[0])
-        if not (np.all(np.isfinite(psi)) and np.all(np.isfinite(thetas))):
-            raise ValidationError("psi and thetas must be finite")
+        xs = np.asarray(self.xs, dtype=np.float64)
+        if xs.ndim != 1:
+            raise ValidationError(f"xs must be a (samples,) array, got {xs.shape}")
+        if thetas.shape != xs.shape:
+            raise ValidationError(f"thetas shape {thetas.shape} does not match {xs.shape[0]} samples")
+        counts = _checked_counts(self.counts, xs.shape[0])
+        if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(thetas))):
+            raise ValidationError("thetas and xs must be finite")
+        if not (isinstance(self.dim, (int, np.integer)) and self.dim >= 1):
+            raise ValidationError(f"dim must be a positive integer, got {self.dim!r}")
+        dim = int(self.dim)
         phases, index, sizes = np.unique(thetas, return_inverse=True, return_counts=True)
         big = sizes >= POOLED_BELOW
         # the samples on large phases, sorted by phase, then the pooled samples in input order
         order = np.argsort(np.where(big[index], index, phases.size), kind="stable")
         ends = np.cumsum(sizes[big])
-        *blocks, rest = np.split(psi[order], ends)
-        u = np.exp(1j * np.outer(phases[big], np.arange(psi.shape[1])))  # diagonal of D per grouped phase
-        chi = np.exp(1j * np.outer(np.split(thetas[order], ends)[-1], np.arange(psi.shape[1]))) * rest
-        object.__setattr__(self, "psi", psi)
+        grouped, pooled = np.split(order, [sizes[big].sum()])
+        phi = product_basis(dim, xs[grouped])
+        u = np.exp(1j * np.outer(phases[big], np.arange(dim)))  # diagonal of D per grouped phase
+        chi = fock_amplitudes(thetas[pooled], xs[pooled], dim)
         object.__setattr__(self, "thetas", thetas)
+        object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "_order", order)
         object.__setattr__(self, "_ends", ends)
-        # column-major copies: the kernels' matrix products run 10-20% faster on them
-        object.__setattr__(self, "_blocks", [np.asfortranarray(block) for block in blocks])
-        object.__setattr__(self, "_twists", u.conj()[:, :, None] * u[:, None, :])  # D^dag M D = M * twist
+        object.__setattr__(self, "_blocks", np.split(phi, ends, axis=1)[:-1])  # a column view per phase
+        # D^dag M D = M * twist, flattened to (phases, dim^2)
+        object.__setattr__(self, "_twists", (u.conj()[:, :, None] * u[:, None, :]).reshape(-1, dim * dim))
         object.__setattr__(self, "_chi", np.asfortranarray(chi))
         object.__setattr__(self, "_chi_conj", self._chi.conj())
 
     @property
-    def dim(self) -> int:
-        return self.psi.shape[1]
-
-    @property
     def elements(self) -> np.ndarray:
         """The (m, dim, dim) element stack, built on every read; the solver never uses it."""
-        chi = np.exp(1j * np.outer(self.thetas, np.arange(self.dim))) * self.psi
+        chi = fock_amplitudes(self.thetas, self.xs, self.dim)
         return np.einsum("mi,mj->mij", chi, chi.conj())
 
     def traces(self, matrix: np.ndarray) -> np.ndarray:
         """tr(Pi_k matrix) for every sample, as real numbers (matrix is Hermitian)."""
-        twisted = np.ascontiguousarray((matrix * self._twists).real)  # Re(D^dag M D) per phase
-        parts = [np.einsum("ki,ki->k", block @ a, block) for block, a in zip(self._blocks, twisted)]
+        coeffs = (np.reshape(matrix, -1) * self._twists).real @ product_table(self.dim)  # c per phase
+        parts = [c @ block for c, block in zip(coeffs, self._blocks)]
         parts.append(np.einsum("ki,ki->k", self._chi_conj @ matrix, self._chi).real)
         out = np.empty(self.n_outcomes)
         out[self._order] = np.concatenate(parts)
@@ -178,8 +244,10 @@ class QuadratureDataset(MeasurementRecord):
         """sum_k weights[k] Pi_k."""
         *grouped, pooled = np.split(np.asarray(weights, dtype=np.float64)[self._order], self._ends)
         total = (self._chi * pooled[:, None]).T @ self._chi_conj
-        for block, w, twist in zip(self._blocks, grouped, self._twists):
-            total += (block.T @ (w[:, None] * block)) * twist.conj()
+        moments = np.empty((len(self._blocks), 2 * self.dim - 1))  # mu per phase
+        for mu, block, w in zip(moments, self._blocks, grouped):
+            np.matmul(block, w, out=mu)
+        total += np.einsum("pi,pi->i", moments @ product_table(self.dim).T, self._twists.conj()).reshape(self.dim, self.dim)
         return total
 
 

@@ -85,7 +85,7 @@ def validate_density(m, tol: float = PSD_ATOL) -> np.ndarray:
     a = as_operator(m)
     tr = a.trace().real
     if abs(tr - 1.0) > tol:
-        raise ValidationError(f"trace {tr!r} differs from 1 by more than {tol:.1e}")
+        raise ValidationError(f"trace {float(tr)!r} differs from 1 by more than {tol:.1e}")
     _check_hermitian_psd(a[None], max(HERMITICITY_ATOL, tol), tol, "matrix")
     return a
 

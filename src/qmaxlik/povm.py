@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dataset import Dataset, QuadratureDataset
+from .dataset import Dataset, QuadratureDataset, fock_amplitudes, wavefunction_table
 from .errors import ValidationError
 
 
@@ -39,34 +39,11 @@ def counterexample_dataset() -> Dataset:
     return Dataset(elements=np.stack([p0, p1]), counts=np.array([1.0, 2.0]))
 
 
-def wavefunction_table(dim: int, x) -> np.ndarray:
-    """Stack psi_0 .. psi_{dim-1} evaluated at ``x``; shape (dim, len(x)).
-
-    Row n is the normalized harmonic-oscillator eigenfunction psi_n. The rows
-    come from the stable three-term recurrence on the normalized functions
-    (raw Hermite polynomials overflow long before n = 14 at |x| ~ 10):
-
-        psi_{n+1} = sqrt(2/(n+1)) x psi_n - sqrt(n/(n+1)) psi_{n-1}
-    """
-    if dim < 1:
-        raise ValidationError("dimension must be at least 1")
-    xs = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    if not np.all(np.isfinite(xs)):
-        raise ValidationError("quadrature values must be finite")
-    table = np.empty((dim, xs.size), dtype=np.float64)
-    table[0] = np.pi ** -0.25 * np.exp(-0.5 * xs * xs)
-    if dim > 1:
-        table[1] = np.sqrt(2.0) * xs * table[0]
-    for n in range(1, dim - 1):
-        table[n + 1] = np.sqrt(2.0 / (n + 1)) * xs * table[n] - np.sqrt(n / (n + 1.0)) * table[n - 1]
-    return table
-
-
 def quadrature_projector(theta: float, x: float, dim: int) -> np.ndarray:
     """Rank-1 element for one homodyne sample: entries exp(i(m-n)theta) psi_m(x) psi_n(x)."""
     if not (np.isfinite(theta) and np.isfinite(x)):
         raise ValidationError("phase and quadrature value must be finite")
-    chi = np.exp(1j * theta * np.arange(dim)) * wavefunction_table(dim, x)[:, 0]
+    chi = fock_amplitudes([theta], [x], dim)[0]
     return np.outer(chi, chi.conj())
 
 
@@ -77,5 +54,4 @@ def quadrature_dataset(thetas, xs, dim: int) -> QuadratureDataset:
     plain (uncorrected) iteration on the result. The elements are stored in
     factored form (see ``QuadratureDataset``) and kept in sample order.
     """
-    psi = wavefunction_table(dim, xs).T
-    return QuadratureDataset(psi=psi, thetas=thetas, counts=np.ones(psi.shape[0]))
+    return QuadratureDataset(thetas=thetas, xs=xs, counts=np.ones(np.shape(xs)[:1]), dim=dim)

@@ -7,15 +7,19 @@ from qmaxlik import (
     Dataset,
     GOperator,
     QuadratureDataset,
+    SimulationSpec,
     ValidationError,
     counterexample_dataset,
     outcome_probabilities,
+    povm,
+    preset_state,
     quadrature_dataset,
     quadrature_projector,
     r_operator,
+    reconstruct,
+    sample_quadratures,
 )
-from qmaxlik.dataset import POOLED_BELOW
-from qmaxlik.povm import wavefunction_table
+from qmaxlik.dataset import POOLED_BELOW, product_basis, product_table, wavefunction_table
 from support import random_dataset, random_density
 
 
@@ -120,12 +124,12 @@ def _record(rng, thetas, dim):
     thetas = np.asarray(thetas, dtype=float)
     xs = rng.uniform(-4.0, 4.0, size=thetas.size)
     counts = rng.uniform(0.5, 3.0, size=thetas.size)
-    return QuadratureDataset(psi=wavefunction_table(dim, xs).T, thetas=thetas, counts=counts), xs
+    return QuadratureDataset(thetas=thetas, xs=xs, counts=counts, dim=dim)
 
 
-def _dense(record, xs):
+def _dense(record):
     """The same record as an explicit element stack, one projector per sample."""
-    stack = [quadrature_projector(t, x, record.dim) for t, x in zip(record.thetas, xs)]
+    stack = [quadrature_projector(t, x, record.dim) for t, x in zip(record.thetas, record.xs)]
     return Dataset(elements=np.stack(stack), counts=record.counts)
 
 
@@ -142,25 +146,27 @@ class TestQuadratureDataset:
     @pytest.mark.parametrize("layout", ["few", "distinct", "mix", "single"])
     def test_kernels_match_element_stack(self, layout):
         rng = np.random.default_rng(11)
-        record, xs = _record(rng, _layouts(rng)[layout], 5)
-        dense = _dense(record, xs)
-        grouped, pooled = len(record._blocks) > 0, len(record._chi) > 0
-        assert (grouped, pooled) == {"few": (True, False), "distinct": (False, True),
-                                     "mix": (True, True), "single": (False, True)}[layout]
-        rho = random_density(rng, 5)
-        weights = rng.uniform(0.0, 2.0, size=record.n_outcomes)
-        assert np.max(np.abs(record.traces(rho) - dense.traces(rho))) <= 1e-12
-        assert np.max(np.abs(record.weighted_sum(weights) - dense.weighted_sum(weights))) <= 1e-12
-        assert np.max(np.abs(record.element_sum() - dense.element_sum())) <= 1e-12
-        assert np.max(np.abs(r_operator(rho, record) - r_operator(rho, dense))) <= 1e-12
-        assert np.max(np.abs(record.elements - dense.elements)) <= 1e-12
-        if layout == "single":  # one rank-1 element: G cannot be inverted
-            with pytest.raises(ValidationError, match="singular"):
-                GOperator.from_dataset(record)
-        else:
-            g, g_dense = GOperator.from_dataset(record), GOperator.from_dataset(dense)
-            assert np.max(np.abs(g.matrix - g_dense.matrix)) <= 1e-12
-            assert np.max(np.abs(g.inverse - g_dense.inverse)) <= 1e-12 * g.condition
+        thetas = _layouts(rng)[layout]
+        for dim in (1, 5, 15, 30):
+            record = _record(rng, thetas, dim)
+            dense = _dense(record)
+            grouped, pooled = len(record._blocks) > 0, len(record._chi) > 0
+            assert (grouped, pooled) == {"few": (True, False), "distinct": (False, True),
+                                         "mix": (True, True), "single": (False, True)}[layout]
+            rho = random_density(rng, dim)
+            weights = rng.uniform(0.0, 2.0, size=record.n_outcomes)
+            assert np.max(np.abs(record.traces(rho) - dense.traces(rho))) <= 1e-12
+            assert np.max(np.abs(record.weighted_sum(weights) - dense.weighted_sum(weights))) <= 1e-12
+            assert np.max(np.abs(record.element_sum() - dense.element_sum())) <= 1e-12
+            assert np.max(np.abs(r_operator(rho, record) - r_operator(rho, dense))) <= 1e-12
+            assert np.max(np.abs(record.elements - dense.elements)) <= 1e-12
+            if layout == "single" and dim > 1:  # one rank-1 element: G cannot be inverted
+                with pytest.raises(ValidationError, match="singular"):
+                    GOperator.from_dataset(record)
+            else:
+                g, g_dense = GOperator.from_dataset(record), GOperator.from_dataset(dense)
+                assert np.max(np.abs(g.matrix - g_dense.matrix)) <= 1e-12
+                assert np.max(np.abs(g.inverse - g_dense.inverse)) <= 1e-12 * g.condition
 
     def test_outcome_order_follows_input(self):
         rng = np.random.default_rng(12)
@@ -180,7 +186,7 @@ class TestQuadratureDataset:
     @pytest.mark.parametrize("layout", ["few", "distinct", "mix", "single"])
     def test_memory_is_linear_in_samples(self, layout):
         rng = np.random.default_rng(13)
-        record, _ = _record(rng, _layouts(rng)[layout], 15)
+        record = _record(rng, _layouts(rng)[layout], 15)
         m, d = record.n_outcomes, record.dim
         arrays = []
         for value in vars(record).values():
@@ -189,18 +195,18 @@ class TestQuadratureDataset:
 
     def test_rejects_inconsistent_phases(self):
         with pytest.raises(ValidationError, match="does not match"):
-            QuadratureDataset(psi=np.array([[1.0, 0.0]]), thetas=np.array([0.0, 1.0]), counts=np.array([1.0]))
+            QuadratureDataset(thetas=np.array([0.0, 1.0]), xs=np.array([0.5]), counts=np.array([1.0]), dim=2)
 
-    @pytest.mark.parametrize("psi", [np.ones(3), np.ones((3, 0)), np.ones((1, 1, 2))])
-    def test_rejects_table_of_wrong_shape(self, psi):
-        with pytest.raises(ValidationError, match=r"psi must be a \(samples, dim\) table"):
-            QuadratureDataset(psi=psi, thetas=np.zeros(psi.shape[0]), counts=np.ones(psi.shape[0]))
+    @pytest.mark.parametrize("xs", [np.ones(()), np.ones((3, 1)), np.ones((1, 1, 2))])
+    def test_rejects_table_of_wrong_shape(self, xs):
+        with pytest.raises(ValidationError, match=r"xs must be a \(samples,\) array"):
+            QuadratureDataset(thetas=np.zeros(xs.shape[:1]), xs=xs, counts=np.ones(xs.shape[:1]), dim=2)
 
     def test_rejects_complex_or_nonfinite_table(self):
         with pytest.raises(ValidationError, match="real"):
-            QuadratureDataset(psi=np.array([[1.0, 1j]]), thetas=np.array([0.0]), counts=np.array([1.0]))
+            QuadratureDataset(thetas=np.array([0.0]), xs=np.array([1j]), counts=np.array([1.0]), dim=2)
         with pytest.raises(ValidationError, match="finite"):
-            QuadratureDataset(psi=np.array([[1.0, np.nan]]), thetas=np.array([0.0]), counts=np.array([1.0]))
+            QuadratureDataset(thetas=np.array([0.0]), xs=np.array([np.nan]), counts=np.array([1.0]), dim=2)
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(
@@ -213,7 +219,46 @@ class TestQuadratureDataset:
     def test_r_has_unit_trace_against_rho(self, dim, phases, repeats, distinct, seed):
         rng = np.random.default_rng(seed)
         thetas = rng.permutation(np.concatenate([np.repeat(phases, repeats), distinct]))
-        record, _ = _record(rng, thetas, dim)
+        record = _record(rng, thetas, dim)
         # mixed with the identity so that no probability reaches the floor
         rho = 0.5 * random_density(rng, dim) + 0.5 * np.eye(dim) / dim
         assert abs((r_operator(rho, record) @ rho).trace().real - 1.0) <= 1e-10
+
+
+def _extended_traces(record, rho):
+    """tr(Pi_k rho) in np.longdouble from the record's phases and quadratures, for a Hermitian rho."""
+    x = record.xs.astype(np.longdouble)
+    psi = np.empty((record.dim, x.size), dtype=np.longdouble)
+    psi[0] = np.arccos(np.longdouble(-1)) ** np.longdouble(-0.25) * np.exp(-x * x / 2)
+    if record.dim > 1:
+        psi[1] = np.sqrt(np.longdouble(2)) * x * psi[0]
+    for n in range(1, record.dim - 1):
+        psi[n + 1] = np.sqrt(np.longdouble(2) / (n + 1)) * x * psi[n] - np.sqrt(np.longdouble(n) / (n + 1)) * psi[n - 1]
+    n = np.arange(record.dim)
+    out = np.empty(x.size, dtype=np.longdouble)
+    for theta in np.unique(record.thetas):
+        angle = (n[None, :] - n[:, None]) * np.longdouble(theta)  # (b - a) theta
+        twisted = rho.real.astype(np.longdouble) * np.cos(angle) - rho.imag.astype(np.longdouble) * np.sin(angle)
+        on = record.thetas == theta
+        out[on] = np.sum(psi[:, on] * (twisted @ psi[:, on]), axis=0)
+    return out
+
+
+class TestProductBasis:
+    def test_table_reproduces_wavefunction_products(self):
+        x = np.linspace(-10.0, 10.0, 2001)
+        assert povm.wavefunction_table is wavefunction_table
+        for dim in range(1, 31):
+            table = product_table(dim)
+            assert table is product_table(dim) and table.shape == (dim * dim, 2 * dim - 1)
+            psi = wavefunction_table(dim, x)
+            products = (psi[:, None] * psi[None]).reshape(dim * dim, x.size)
+            assert np.max(np.abs(table @ product_basis(dim, x) - products)) <= 1e-13
+
+    def test_traces_at_criterion_7_estimate_match_extended_precision(self):
+        dim = 15
+        spec = SimulationSpec(state=preset_state("superposition01", dim), seed=7, count=20000)
+        record = quadrature_dataset(*sample_quadratures(spec, np.linspace(0.0, np.pi, 12, endpoint=False), dim), dim)
+        rho = reconstruct(record).estimate
+        reference = _extended_traces(record, rho)
+        assert np.max(np.abs(record.traces(rho) - reference) / np.abs(reference)) <= 1e-12

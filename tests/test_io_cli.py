@@ -153,7 +153,7 @@ class TestQuadratureCsvRows:
         a, b = qio.parse_dataset(plain, dim=3), qio.parse_dataset(other, dim=3)
         assert b.n_outcomes == 2
         np.testing.assert_array_equal(b.thetas, a.thetas)
-        np.testing.assert_array_equal(b.psi, a.psi)
+        np.testing.assert_array_equal(b.xs, a.xs)
 
 
 class TestCliReconstruct:
@@ -427,12 +427,28 @@ class TestCliSimulate:
         assert capsys.readouterr().err.startswith("validation error:")
         assert not out.exists()
 
-    @pytest.mark.parametrize("fmt, name", [("counts", "c.csv"), ("quadrature", "q.json"), ("quadrature", "q.JSON")])
+    @pytest.mark.parametrize("fmt, name", [("counts", "c.csv"), ("quadrature", "q.json"), ("quadrature", "q.JSON"),
+                                           ("quadrature", "q.txt"), ("counts", "c.txt"), ("quadrature", "q"),
+                                           ("counts", "c")])
     def test_format_contradicting_out_extension_exit_three(self, tmp_path, capsys, fmt, name):
         out = tmp_path / name
         assert main(["simulate", "--n", "10", "--dim", "2", "--format", fmt, "--out", str(out)]) == 3
-        assert capsys.readouterr().err == f"validation error: --format {fmt} cannot be written to a {out.suffix} file\n"
+        suffix = {"quadrature": ".csv", "counts": ".json"}[fmt]
+        assert capsys.readouterr().err == f"validation error: --format {fmt} is written to a {suffix} file, not {name}\n"
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("fmt, name", [("quadrature", "q.CSV"), ("counts", "c.Json")])
+    def test_format_extension_is_case_insensitive(self, tmp_path, fmt, name):
+        assert main(["simulate", "--n", "10", "--dim", "2", "--format", fmt, "--out", str(tmp_path / name)]) == 0
+        assert main(["reconstruct", str(tmp_path / name), "--dim", "2", "--out", str(tmp_path / "r.json")]) in (0, 4)
+
+    def test_unnormalized_state_file_prints_the_trace_as_a_number(self, tmp_path, capsys):
+        state = tmp_path / "s.json"
+        qio.write_state(state, np.diag([1.0, 0.4]))
+        out = tmp_path / "s.csv"
+        assert main(["simulate", "--state-file", str(state), "--dim", "2", "--n", "10", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "validation error: trace 1.4 differs from 1 by more than 1.0e-08\n"
+        assert not out.exists()
 
     def test_simulate_then_reconstruct_vacuum(self, tmp_path):
         data = tmp_path / "vac.csv"
@@ -705,7 +721,7 @@ def _decodes(payload: bytes) -> bool:
 
 # Valid inputs but for one strategy flag; random draws seldom reach these with a readable input file.
 _VALID = dict(lists=(None, None), tolerances=("1e-8",) * 3, dim=None, counts=(10, 2, 5), fmt="quadrature",
-              payload=None, suffix=".json", out_kind="fresh", epsilon=None, seed=0, solvable=None)
+              payload=None, suffix=".json", out_kind="fresh", epsilon=None, seed=0, solvable=None, extensionless=False)
 _POSITIVE = st.floats(min_value=1e-12, max_value=1e-2).map(repr)
 # Flags that take the qubit JSON to a solve whatever the strategy; without them few examples would reach one.
 _SOLVABLE = st.fixed_dictionaries({
@@ -722,6 +738,7 @@ _SOLVABLE = st.fixed_dictionaries({
 @example(command="reconstruct", strategy="random", **{**_VALID, "seed": -1})
 @example(command="reconstruct", strategy="random", **{**_VALID, "epsilon": "inf"})
 @example(command="simulate", strategy="random", **{**_VALID, "seed": -1})
+@example(command="simulate", strategy="random", **{**_VALID, "extensionless": True})
 @example(command="reconstruct", strategy="fixed", **{**_VALID, "epsilon": "1.7e308"})
 @example(command="reconstruct", strategy="random", **{**_VALID, "epsilon": "1e308"})
 @given(
@@ -739,9 +756,10 @@ _SOLVABLE = st.fixed_dictionaries({
     seed=_COUNT,
     # two draws in three replace the input, --out, --dim and every flag but --strategy
     solvable=st.sampled_from([False, True, True]).flatmap(lambda on: _SOLVABLE if on else st.none()),
+    extensionless=st.just(False),  # True only in an example: simulate's --out then lacks the format's extension
 )
 def test_cli_flag_fuzz(tmp_path_factory, command, lists, tolerances, dim, counts, fmt, payload, suffix, out_kind,
-                       strategy, epsilon, seed, solvable):
+                       strategy, epsilon, seed, solvable, extensionless):
     """Any list, tolerance, count, strategy flag, --dim, input file or --out ends in a documented exit code,
     never a traceback or a warning."""
     if solvable is not None:
@@ -766,6 +784,8 @@ def test_cli_flag_fuzz(tmp_path_factory, command, lists, tolerances, dim, counts
         argv += [f"{flag}={value}" for flag, value in zip(["--epsilons", "--tolerances"], lists) if value is not None]
         argv.append(f"--max-iters={max_iters}")
     else:
+        if out_kind != "directory" and not extensionless:
+            out = out.with_name(out.name + {"quadrature": ".csv", "counts": ".json"}[fmt])
         argv = [command, "--out", str(out), f"--n={n}", f"--phases={phases}", f"--format={fmt}", f"--seed={seed}"]
         if payload is not None:
             argv.append(f"--state-file={data}")
@@ -789,6 +809,8 @@ def test_cli_flag_fuzz(tmp_path_factory, command, lists, tolerances, dim, counts
         assert code == 2
     if solvable is not None and command != "simulate":
         assert code in (0, 4)
+    if extensionless:
+        assert code == 3 and not out.exists()
     if out_kind != "fresh":
         assert code not in (0, 4)  # the output is checked before any solve or sampling
         assert not (workdir / "missing").exists()
