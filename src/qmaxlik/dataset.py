@@ -15,6 +15,7 @@ from .errors import ValidationError
 from .operators import _check_hermitian_psd, eigendecompose, hermitize
 
 G_CONDITION_LIMIT = 1e12  # GOperator refuses a worse-conditioned element sum
+PROBABILITY_FLOOR = 1e-12  # every probability tr(Pi_j rho) is raised to at least this
 
 
 def _checked_counts(counts, n_outcomes: int) -> np.ndarray:
@@ -39,10 +40,15 @@ class MeasurementRecord:
     def n_outcomes(self) -> int:
         return self.counts.shape[0]
 
-    @property
+    @functools.cached_property
     def total(self) -> float:
-        """Total number of measurements (sum of counts)."""
+        """Total number of measurements (sum of counts), summed on first read."""
         return float(self.counts.sum())
+
+    def likelihood_terms(self, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """tr(Pi_k rho), those raised to PROBABILITY_FLOOR and sum_k f_k / (N probs_k) Pi_k, in new arrays."""
+        probs = np.maximum(traces := self.traces(rho), PROBABILITY_FLOOR)
+        return traces, probs, self.weighted_sum(self.counts / (self.total * probs))
 
     def element_sum(self) -> np.ndarray:
         """Sum of all measurement elements (identity for a complete POVM)."""
@@ -156,6 +162,10 @@ def product_table(dim: int) -> np.ndarray:
 # dim 6, so the cut-off stays.
 POOLED_BELOW = 64
 
+# Phases are taken in runs whose Phi fits in this many bytes, so likelihood_terms reads a run's Phi again from
+# cache: 0.69-0.76 of the time of traces + weighted_sum at dim 15, 0.68-0.73 at dim 6, 0.85 with 8 MB runs.
+RUN_BYTES = 1 << 19
+
 
 @dataclass(frozen=True)
 class QuadratureDataset(MeasurementRecord):
@@ -174,7 +184,7 @@ class QuadratureDataset(MeasurementRecord):
 
     one matrix-vector product per phase and kernel. Phases with fewer than
     POOLED_BELOW samples go to one pooled block that works on the complex
-    rows chi_k instead. Outcome k is always sample k, in input order.
+    rows chi_k instead. Outcome k is always sample k, in input order (kernels work in phase order).
 
     Attributes
     ----------
@@ -208,18 +218,25 @@ class QuadratureDataset(MeasurementRecord):
         big = sizes >= POOLED_BELOW
         # the samples on large phases, sorted by phase, then the pooled samples in input order
         order = np.argsort(np.where(big[index], index, phases.size), kind="stable")
-        ends = np.cumsum(sizes[big])
-        grouped, pooled = np.split(order, [sizes[big].sum()])
-        phi = product_basis(dim, xs[grouped])
+        bounds = np.concatenate([[0], np.cumsum(sizes[big])]).tolist()  # phase p holds bounds[p]:bounds[p + 1]
+        runs = []  # (rows, [(phase, its rows within the run)]) per run of consecutive phases, see RUN_BYTES
+        for p, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            if not runs or (hi - runs[-1][0]) * (2 * dim - 1) * 8 > RUN_BYTES:
+                runs.append((lo, []))
+            runs[-1][1].append((p, slice(lo - runs[-1][0], hi - runs[-1][0])))
+        runs = [(slice(start, start + parts[-1][1].stop), parts) for start, parts in runs]
+        phi = product_basis(dim, xs[order[: bounds[-1]]])
         u = np.exp(1j * np.outer(phases[big], np.arange(dim)))  # diagonal of D per grouped phase
-        chi = fock_amplitudes(thetas[pooled], xs[pooled], dim)
+        chi = fock_amplitudes(thetas[order[bounds[-1]:]], xs[order[bounds[-1]:]], dim)
         object.__setattr__(self, "thetas", thetas)
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "_order", order)
-        object.__setattr__(self, "_ends", ends)
-        object.__setattr__(self, "_blocks", np.split(phi, ends, axis=1)[:-1])  # a column view per phase
+        object.__setattr__(self, "_sorted_counts", counts[order])
+        object.__setattr__(self, "_runs", runs)
+        object.__setattr__(self, "_pooled", slice(bounds[-1], None))
+        object.__setattr__(self, "_blocks", np.split(phi, bounds[1:], axis=1)[:-1])  # a column view per phase
         # D^dag M D = M * twist, flattened to (phases, dim^2)
         object.__setattr__(self, "_twists", (u.conj()[:, :, None] * u[:, None, :]).reshape(-1, dim * dim))
         object.__setattr__(self, "_chi", np.asfortranarray(chi))
@@ -233,22 +250,43 @@ class QuadratureDataset(MeasurementRecord):
 
     def traces(self, matrix: np.ndarray) -> np.ndarray:
         """tr(Pi_k matrix) for every sample, as real numbers (matrix is Hermitian)."""
-        coeffs = (np.reshape(matrix, -1) * self._twists).real @ product_table(self.dim)  # c per phase
-        parts = [c @ block for c, block in zip(coeffs, self._blocks)]
-        parts.append(np.einsum("ki,ki->k", self._chi_conj @ matrix, self._chi).real)
-        out = np.empty(self.n_outcomes)
-        out[self._order] = np.concatenate(parts)
-        return out
+        return self._kernels(matrix, None)[0]
 
     def weighted_sum(self, weights: np.ndarray) -> np.ndarray:
         """sum_k weights[k] Pi_k."""
-        *grouped, pooled = np.split(np.asarray(weights, dtype=np.float64)[self._order], self._ends)
-        total = (self._chi * pooled[:, None]).T @ self._chi_conj
+        weights = np.asarray(weights, dtype=np.float64)[self._order]
+        return self._kernels(None, lambda rows, _: weights[rows])[2]
+
+    def likelihood_terms(self, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(traces, probs, r) in one pass: each run of phases builds its share of r while its Phi is in cache."""
+        traces, ordered, r = self._kernels(
+            rho, lambda rows, t: self._sorted_counts[rows] / (self.total * np.maximum(t, PROBABILITY_FLOOR)))
+        return traces, np.maximum(traces, PROBABILITY_FLOOR, out=ordered), r
+
+    def _kernels(self, matrix, weigh):
+        """Traces of ``matrix`` (input, phase order) and sum_k w_k Pi_k, w = weigh(rows, traces) per run, or None."""
+        table = product_table(self.dim)
+        traces = ordered = None
+        if matrix is not None:
+            coeffs = (np.reshape(matrix, -1) * self._twists).real @ table  # c per phase
+            traces, ordered = np.empty(self.n_outcomes), np.empty(self.n_outcomes)
+            ordered[self._pooled] = np.einsum("ki,ki->k", self._chi_conj @ matrix, self._chi).real
         moments = np.empty((len(self._blocks), 2 * self.dim - 1))  # mu per phase
-        for mu, block, w in zip(moments, self._blocks, grouped):
-            np.matmul(block, w, out=mu)
-        total += np.einsum("pi,pi->i", moments @ product_table(self.dim).T, self._twists.conj()).reshape(self.dim, self.dim)
-        return total
+        for rows, parts in self._runs:
+            run = None if matrix is None else ordered[rows]
+            for p, local in parts if matrix is not None else ():
+                np.matmul(coeffs[p], self._blocks[p], out=run[local])
+            weights = None if weigh is None else weigh(rows, run)
+            for p, local in parts if weigh is not None else ():
+                np.matmul(self._blocks[p], weights[local], out=moments[p])
+        if matrix is not None:
+            traces[self._order] = ordered
+        if weigh is None:
+            return traces, ordered, None
+        weights = weigh(self._pooled, None if matrix is None else ordered[self._pooled])
+        total = (self._chi * weights[:, None]).T @ self._chi_conj
+        total += np.einsum("pi,pi->i", moments @ table.T, self._twists.conj()).reshape(self.dim, self.dim)
+        return traces, ordered, total
 
 
 @dataclass(frozen=True)

@@ -28,11 +28,10 @@ from typing import ClassVar, NamedTuple
 
 import numpy as np
 
-from .dataset import GOperator, MeasurementRecord
+from .dataset import PROBABILITY_FLOOR, GOperator, MeasurementRecord
 from .errors import ValidationError
 from .operators import hermitize, normalize
 
-PROBABILITY_FLOOR = 1e-12  # every probability tr(Pi_j rho) is raised to at least this
 CYCLE_ATOL = 1e-10
 
 SLOPE_RESOLUTION = 1e-13  # a line-search slope within this fraction of its terms' size is rounding, taken as 0
@@ -195,11 +194,7 @@ def log_likelihood(rho, dataset: MeasurementRecord) -> float:
 
 def r_operator(rho, dataset: MeasurementRecord) -> np.ndarray:
     """(1/N) sum_j (f_j / pr_j) Pi_j for the current state; Hermitian PSD."""
-    return _r_from_probs(dataset, outcome_probabilities(rho, dataset))
-
-
-def _r_from_probs(dataset: MeasurementRecord, probs: np.ndarray) -> np.ndarray:
-    return hermitize(dataset.weighted_sum(dataset.counts / (dataset.total * probs)))
+    return hermitize(dataset.likelihood_terms(_check_dims(rho, dataset))[2])
 
 
 def _apply_map(rho: np.ndarray, b: np.ndarray, eps: float) -> np.ndarray:
@@ -297,12 +292,13 @@ class _GainProfile:
         return first, second - self._total * (2.0 * self._gamma[2] / (powers @ self._gamma) - dgamma**2)
 
     def candidate(self, t: float) -> tuple:
-        """The step at t as a ``_candidate`` with traces read off the profile; t = 0 gives rho bit for bit."""
+        """The step at t as a ``_candidate`` with traces read off the profile and no R; t = 0 gives rho bit for bit."""
         powers = np.array([1.0, t, t * t])
         scale = float(powers @ self._s)
         rho = hermitize(self._rho + t * self._t1 + (t * t) * self._t2) / scale
         eps = math.inf if t == 1.0 else self.c * t / (1.0 - t)
-        return _candidate(eps, rho, (powers @ self._q) / scale, self._dataset, self._g)
+        traces = (powers @ self._q) / scale
+        return _candidate(eps, rho, (traces, np.maximum(traces, PROBABILITY_FLOOR), None), self._dataset, self._g)
 
 
 def choose_epsilon_line_search(
@@ -332,26 +328,28 @@ def choose_epsilon_line_search(
         t = step if lo < step < hi else 0.5 * (lo + hi)
     while (gain := (candidate := profile.candidate(t))[-1] - state.objective) < 0.0:
         t *= 0.5
-    return candidate, gain
+    r = hermitize(dataset.weighted_sum(dataset.counts / (dataset.total * candidate[3])))  # for this candidate only
+    return (*candidate[:4], r, candidate[5]), gain
 
 
 # ---------------------------------------------------------------------------
 # the reconstruction loop
 
 
-def _candidate(eps: float, rho: np.ndarray, traces: np.ndarray, dataset: MeasurementRecord, g: GOperator | None):
-    """(eps, rho, traces, probs, objective); the objective is sum_j f_j log probs_j, less N log tr(G rho) given G."""
-    probs = np.maximum(traces, PROBABILITY_FLOOR)
+def _candidate(eps: float, rho: np.ndarray, terms: tuple, dataset: MeasurementRecord, g: GOperator | None):
+    """(eps, rho, traces, probs, R, objective); objective sum_j f_j log probs_j, less N log tr(G rho) given G."""
+    traces, probs, r = terms
+    r = None if r is None else hermitize(r)
     objective = float(dataset.counts @ np.log(probs))
     if g is not None:
         objective -= dataset.total * math.log((g.matrix @ rho).trace().real)
-    return eps, rho, traces, probs, objective
+    return eps, rho, traces, probs, r, objective
 
 
 def _trial(state: _Step, dataset: MeasurementRecord, g: GOperator | None, eps: float) -> tuple:
-    """The evaluated candidate of the map at eps from ``state``."""
+    """The evaluated candidate of the map at eps from ``state``, with its R."""
     rho = _apply_map(state.rho, state.b, eps)
-    return _candidate(eps, rho, dataset.traces(rho), dataset, g)
+    return _candidate(eps, rho, dataset.likelihood_terms(rho), dataset, g)
 
 
 class _Step(NamedTuple):
@@ -370,8 +368,7 @@ class _Step(NamedTuple):
 
 def _step_at(rho: np.ndarray, dataset: MeasurementRecord, g: GOperator | None) -> _Step:
     """The state rho with its traces, R, direction and objective."""
-    *_, traces, probs, objective = _candidate(math.nan, rho, dataset.traces(rho), dataset, g)
-    r = _r_from_probs(dataset, probs)
+    *_, traces, _, r, objective = _candidate(math.nan, rho, dataset.likelihood_terms(rho), dataset, g)
     return _Step(rho, traces, r, _direction(r, g), objective)
 
 
@@ -391,7 +388,7 @@ def _iterate(dataset: MeasurementRecord, strategy: EpsilonStrategy, g: GOperator
     previous = None  # the iterate before state, for cycle detection
     for _ in range(max_iterations):
         tried, best_delta = [], -math.inf
-        for eps, candidate, traces, probs, objective in trials(state):
+        for eps, candidate, traces, _, r, objective in trials(state):
             tried.append(eps)
             best_delta = max(best_delta, objective - state.objective)
             if strategy._stall_reason is None or objective > state.objective:
@@ -403,7 +400,6 @@ def _iterate(dataset: MeasurementRecord, strategy: EpsilonStrategy, g: GOperator
         cycled = previous is not None and change > CYCLE_ATOL and (
             float(np.max(np.abs(candidate - previous))) <= CYCLE_ATOL)
         previous = state.rho
-        r = _r_from_probs(dataset, probs)
         state = _Step(candidate, traces, r, _direction(r, g), objective, eps, change, cycled)
         yield state
 

@@ -21,6 +21,7 @@ RNG_ALGORITHM = "numpy.random.PCG64"
 QUAD_GRID_LO = -6.0
 QUAD_GRID_HI = 6.0
 QUAD_GRID_POINTS = 2048
+QUAD_TAIL_MARGIN = 3.0  # reach past the top Fock level's turning point: any level then has < 1e-10 of its mass beyond
 
 COMPLETENESS_ATOL = 1e-8
 
@@ -70,12 +71,19 @@ def quadrature_density_table(state: np.ndarray, theta: float, grid: np.ndarray) 
     return np.maximum(density, 0.0)
 
 
+def _quadrature_grid(state: np.ndarray) -> np.ndarray:
+    """[-6, 6] at 2048 points, widened by whole steps to QUAD_TAIL_MARGIN past sqrt(2 n + 1), n the top Fock level."""
+    step = (QUAD_GRID_HI - QUAD_GRID_LO) / (QUAD_GRID_POINTS - 1)
+    top = int(np.flatnonzero(np.diag(state).real > 0.0)[-1])
+    extra = max(0, int(np.ceil((np.sqrt(2 * top + 1) + QUAD_TAIL_MARGIN - QUAD_GRID_HI) / step)))
+    return np.linspace(QUAD_GRID_LO - extra * step, QUAD_GRID_HI + extra * step, QUAD_GRID_POINTS + 2 * extra)
+
+
 def sample_quadratures(spec: SimulationSpec, phases, dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Homodyne samples of the true state: arrays of phases and quadrature values.
 
     Each sample picks a phase uniformly from ``phases`` and draws x by inverse
-    CDF from p(x | theta) tabulated on a uniform grid over [-6, 6] with 2048
-    points (enough to hold states up to ~14 photons with negligible tail mass).
+    CDF from p(x | theta) tabulated on a uniform grid (see ``_quadrature_grid``).
     Deterministic for a given seed.
     """
     phase_list = np.asarray(phases, dtype=np.float64).reshape(-1)
@@ -88,7 +96,7 @@ def sample_quadratures(spec: SimulationSpec, phases, dim: int) -> tuple[np.ndarr
     if spec.state.shape[0] != dim:
         raise ValidationError("true state dimension does not match requested dim")
 
-    grid = np.linspace(QUAD_GRID_LO, QUAD_GRID_HI, QUAD_GRID_POINTS)
+    grid = _quadrature_grid(spec.state)
     step = grid[1] - grid[0]
     rng = np.random.default_rng(spec.seed)
     phase_idx = rng.integers(0, phase_list.size, size=spec.count)

@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from qmaxlik import Dataset
+from qmaxlik import Dataset, QuadratureDataset
+from qmaxlik.dataset import POOLED_BELOW
 
 
 def random_density(rng, dim):
@@ -46,3 +47,20 @@ def random_instance(rng, dim=None, normalized_weights=False):
     if dim is None:
         dim = int(rng.integers(2, 9))
     return random_density(rng, dim), random_dataset(rng, dim, normalized_weights=normalized_weights)
+
+
+def quadrature_record(rng, thetas, dim):
+    """Quadrature record on the given phases (input order kept) with random x and counts."""
+    thetas = np.asarray(thetas, dtype=float)
+    xs = rng.uniform(-4.0, 4.0, size=thetas.size)
+    counts = rng.uniform(0.5, 3.0, size=thetas.size)
+    return QuadratureDataset(thetas=thetas, xs=xs, counts=counts, dim=dim)
+
+
+def phase_layouts(rng):
+    """Phases of four records: few phases (grouped only), all distinct (pooled only), a mix, one sample."""
+    few = np.repeat([0.0, 0.7, 2.1], POOLED_BELOW + 10)
+    mix = np.concatenate([np.repeat([0.4, 1.9], POOLED_BELOW + 3), np.full(POOLED_BELOW - 1, 1.1),
+                          rng.uniform(0.0, np.pi, 25)])
+    layouts = {"few": few, "distinct": rng.uniform(0.0, np.pi, 150), "mix": mix, "single": [0.8]}
+    return {name: rng.permutation(thetas) for name, thetas in layouts.items()}

@@ -19,8 +19,8 @@ from qmaxlik import (
     reconstruct,
     sample_quadratures,
 )
-from qmaxlik.dataset import POOLED_BELOW, product_basis, product_table, wavefunction_table
-from support import random_dataset, random_density
+from qmaxlik.dataset import POOLED_BELOW, PROBABILITY_FLOOR, product_basis, product_table, wavefunction_table
+from support import phase_layouts, quadrature_record, random_dataset, random_density
 
 
 class TestDataset:
@@ -119,36 +119,19 @@ class TestGOperator:
             GOperator.from_dataset(d)
 
 
-def _record(rng, thetas, dim):
-    """Quadrature record on the given phases (input order kept) with random x and counts."""
-    thetas = np.asarray(thetas, dtype=float)
-    xs = rng.uniform(-4.0, 4.0, size=thetas.size)
-    counts = rng.uniform(0.5, 3.0, size=thetas.size)
-    return QuadratureDataset(thetas=thetas, xs=xs, counts=counts, dim=dim)
-
-
 def _dense(record):
     """The same record as an explicit element stack, one projector per sample."""
     stack = [quadrature_projector(t, x, record.dim) for t, x in zip(record.thetas, record.xs)]
     return Dataset(elements=np.stack(stack), counts=record.counts)
 
 
-def _layouts(rng):
-    """Four records: few phases (grouped only), all-distinct phases (pooled only), a mix, one sample."""
-    few = np.repeat([0.0, 0.7, 2.1], POOLED_BELOW + 10)
-    mix = np.concatenate([np.repeat([0.4, 1.9], POOLED_BELOW + 3), np.full(POOLED_BELOW - 1, 1.1),
-                          rng.uniform(0.0, np.pi, 25)])
-    layouts = {"few": few, "distinct": rng.uniform(0.0, np.pi, 150), "mix": mix, "single": [0.8]}
-    return {name: rng.permutation(thetas) for name, thetas in layouts.items()}
-
-
 class TestQuadratureDataset:
     @pytest.mark.parametrize("layout", ["few", "distinct", "mix", "single"])
     def test_kernels_match_element_stack(self, layout):
         rng = np.random.default_rng(11)
-        thetas = _layouts(rng)[layout]
+        thetas = phase_layouts(rng)[layout]
         for dim in (1, 5, 15, 30):
-            record = _record(rng, thetas, dim)
+            record = quadrature_record(rng, thetas, dim)
             dense = _dense(record)
             grouped, pooled = len(record._blocks) > 0, len(record._chi) > 0
             assert (grouped, pooled) == {"few": (True, False), "distinct": (False, True),
@@ -168,9 +151,34 @@ class TestQuadratureDataset:
                 assert np.max(np.abs(g.matrix - g_dense.matrix)) <= 1e-12
                 assert np.max(np.abs(g.inverse - g_dense.inverse)) <= 1e-12 * g.condition
 
+    @pytest.mark.parametrize("layout", ["few", "distinct", "mix", "single"])
+    def test_likelihood_terms_equal_the_separate_kernels(self, layout):
+        """The fused pass gives, bit for bit, traces, then the floor, then weighted_sum of f / (N probs), also
+        where traces fall below PROBABILITY_FLOOR (Fock 1 at x = 0 and x = 9) and counts are zero. Each call
+        returns new arrays."""
+        rng = np.random.default_rng(14)
+        thetas = phase_layouts(rng)[layout]
+        floored = 0
+        for dim in (1, 5, 15, 30):
+            xs = rng.uniform(-4.0, 4.0, size=thetas.size)
+            xs[::5], xs[1::5] = 0.0, 9.0
+            counts = rng.integers(0, 3, size=thetas.size).astype(float)
+            counts[0] = 1.0
+            record = QuadratureDataset(thetas=thetas, xs=xs, counts=counts, dim=dim)
+            fock = np.diag(np.eye(dim)[min(1, dim - 1)]).astype(complex)
+            for rho in (random_density(rng, dim), fock):
+                traces = record.traces(rho)
+                probs = np.maximum(traces, PROBABILITY_FLOOR)
+                expected = (traces, probs, record.weighted_sum(record.counts / (record.total * probs)))
+                fused, again = record.likelihood_terms(rho), record.likelihood_terms(rho)
+                assert all(np.array_equal(a, b) for a, b in zip(fused, expected))
+                assert not any(np.shares_memory(a, b) for a, b in zip(fused, again))
+                floored += int(np.sum(traces < PROBABILITY_FLOOR))
+        assert floored > 0
+
     def test_outcome_order_follows_input(self):
         rng = np.random.default_rng(12)
-        thetas = _layouts(rng)["mix"]
+        thetas = phase_layouts(rng)["mix"]
         xs = rng.normal(size=thetas.size)
         rho = random_density(rng, 4)
         d = quadrature_dataset(thetas, xs, 4)
@@ -186,7 +194,7 @@ class TestQuadratureDataset:
     @pytest.mark.parametrize("layout", ["few", "distinct", "mix", "single"])
     def test_memory_is_linear_in_samples(self, layout):
         rng = np.random.default_rng(13)
-        record = _record(rng, _layouts(rng)[layout], 15)
+        record = quadrature_record(rng, phase_layouts(rng)[layout], 15)
         m, d = record.n_outcomes, record.dim
         arrays = []
         for value in vars(record).values():
@@ -219,7 +227,7 @@ class TestQuadratureDataset:
     def test_r_has_unit_trace_against_rho(self, dim, phases, repeats, distinct, seed):
         rng = np.random.default_rng(seed)
         thetas = rng.permutation(np.concatenate([np.repeat(phases, repeats), distinct]))
-        record = _record(rng, thetas, dim)
+        record = quadrature_record(rng, thetas, dim)
         # mixed with the identity so that no probability reaches the floor
         rho = 0.5 * random_density(rng, dim) + 0.5 * np.eye(dim) / dim
         assert abs((r_operator(rho, record) @ rho).trace().real - 1.0) <= 1e-10

@@ -19,6 +19,7 @@ from qmaxlik import (
     ValidationError,
     choose_epsilon_line_search,
     counterexample_dataset,
+    dataset,
     diluted_step,
     engine,
     extremal_residual,
@@ -31,7 +32,14 @@ from qmaxlik import (
     reconstruct,
     sample_quadratures,
 )
-from support import random_dataset, random_density, random_instance, random_pure_state
+from support import (
+    phase_layouts,
+    quadrature_record,
+    random_dataset,
+    random_density,
+    random_instance,
+    random_pure_state,
+)
 
 UNIFORM = np.eye(2, dtype=complex) / 2
 MLE = np.diag([1 / 3, 2 / 3]).astype(complex)
@@ -63,6 +71,9 @@ class TestOutcomeProbabilities:
     def test_dimension_mismatch(self, qubit_record):
         with pytest.raises(ValidationError):
             outcome_probabilities(np.eye(3) / 3, qubit_record)
+
+    def test_floor_is_the_records_floor(self):
+        assert engine.PROBABILITY_FLOOR is dataset.PROBABILITY_FLOOR == 1e-12
 
 
 class TestLogLikelihood:
@@ -318,7 +329,7 @@ def test_line_search_property(seed, dim, extra_outcomes, mixing, g_correction):
     psi = random_pure_state(rng, dim)
     rho = (1 - mixing) * np.outer(psi, psi.conj()) + mixing * random_density(rng, dim)
 
-    (eps, candidate, traces, _, _), gain = choose_epsilon_line_search(rho, d, g)
+    (eps, candidate, traces, *_), gain = choose_epsilon_line_search(rho, d, g)
     assert gain >= 0
     stepped = diluted_step(rho, d, eps, g)
     np.testing.assert_allclose(candidate, stepped, rtol=0, atol=1e-12)
@@ -391,6 +402,20 @@ def test_negative_gain_halves_t(monkeypatch, qubit_record):
     (eps, *_), gain = choose_epsilon_line_search(UNIFORM, qubit_record)
     assert gain == pytest.approx(t_star / 4, rel=1e-9)
     assert eps == pytest.approx(c * gain / (1 - gain), rel=1e-9)
+
+
+@pytest.mark.parametrize("strategy", [AdaptiveBackoff(), FixedEpsilon(1.0), RandomEpsilon(seed=3)])
+def test_yielded_traces_outlive_later_iterations(strategy):
+    """A state keeps the traces it was yielded with: later iterations allocate their own and never overwrite them."""
+    rng = np.random.default_rng(15)
+    thetas = phase_layouts(rng)["mix"]
+    records = (quadrature_record(rng, thetas, 6), random_dataset(rng, 4))
+    for d in records:
+        states = list(engine._iterate(d, strategy, None, 12))
+        expected = [d.traces(state.rho).copy() for state in states]
+        assert len(states) == 13
+        for state, traces in zip(states, expected):
+            np.testing.assert_array_equal(state.traces, traces)
 
 
 @pytest.mark.parametrize("value", [math.nan, 0.0, -1e-8])

@@ -3,6 +3,8 @@
 import math
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmaxlik import (
     diluted_step,
@@ -12,24 +14,36 @@ from qmaxlik import (
     r_operator,
     validate_density,
 )
-from support import random_instance
+from support import phase_layouts, quadrature_record, random_density, random_instance
 
 
-def test_r_normalization_trace_one():
+def _instance(seed, dim, kind):
+    """A random full-rank state with a counted record, or with a quadrature record on the mix of phases."""
+    rng = np.random.default_rng(seed)
+    if kind == "counted":
+        return random_instance(rng, dim)
+    return random_density(rng, dim), quadrature_record(rng, phase_layouts(rng)["mix"], dim)
+
+
+INSTANCES = {"seed": st.integers(0, 2**32 - 1), "dim": st.integers(2, 8),
+             "kind": st.sampled_from(["counted", "quadrature"])}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(**INSTANCES)
+def test_r_normalization_trace_one(seed, dim, kind):
     # tr(R rho) = 1 whenever no probability was floored
-    rng = np.random.default_rng(100)
-    for _ in range(300):
-        rho, d = random_instance(rng)
-        r = r_operator(rho, d)
-        assert abs((r @ rho).trace().real - 1.0) <= 1e-10
+    rho, d = _instance(seed, dim, kind)
+    r = r_operator(rho, d)
+    assert abs((r @ rho).trace().real - 1.0) <= 1e-10
 
 
-def test_cauchy_schwarz_lower_bound():
-    rng = np.random.default_rng(101)
-    for _ in range(300):
-        rho, d = random_instance(rng)
-        r = r_operator(rho, d)
-        assert (r @ rho @ r).trace().real >= 1.0 - 1e-10
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(**INSTANCES)
+def test_cauchy_schwarz_lower_bound(seed, dim, kind):
+    rho, d = _instance(seed, dim, kind)
+    r = r_operator(rho, d)
+    assert (r @ rho @ r).trace().real >= 1.0 - 1e-10
 
 
 def test_diluted_step_preserves_density_invariants():

@@ -10,7 +10,7 @@ from qmaxlik import (
     sample_counts,
     sample_quadratures,
 )
-from qmaxlik.simulate import QUAD_GRID_POINTS, quadrature_density_table
+from qmaxlik.simulate import QUAD_GRID_POINTS, _quadrature_grid, quadrature_density_table
 from support import random_density
 
 
@@ -81,6 +81,19 @@ class TestSampleQuadratures:
         _, xs = sample_quadratures(spec, [0.0], dim)
         sigma_mean = np.sqrt(0.5 / n)  # var(x) = <x^2> - <x>^2 = 1 - 1/2
         assert abs(xs.mean() - 1 / np.sqrt(2)) <= 3 * sigma_mean
+
+    @pytest.mark.parametrize("n", [20, 29])
+    def test_high_fock_states_keep_their_tails(self, n):
+        """<x^2> = n + 1/2 for Fock n, and var(x^2) = (n^2 + n + 1)/2; Fock 20 has 20% of its mass outside [-6, 6]."""
+        state = np.diag(np.eye(n + 1)[n]).astype(complex)
+        _, xs = sample_quadratures(SimulationSpec(state=state, seed=1, count=20000), [0.0, 1.0, 2.0], n + 1)
+        assert abs(np.mean(xs**2) - (n + 0.5)) <= 5 * np.sqrt((n * n + n + 1) / 2 / xs.size)
+
+    def test_low_fock_states_keep_the_six_unit_grid(self):
+        for n in range(5):
+            state = np.diag(np.eye(n + 1)[n]).astype(complex)
+            np.testing.assert_array_equal(_quadrature_grid(state), np.linspace(-6.0, 6.0, QUAD_GRID_POINTS))
+        assert _quadrature_grid(np.diag(np.eye(6)[5]).astype(complex))[-1] > 6.0
 
     def test_deterministic_given_seed(self):
         dim = 6
