@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_positive_int
 from .operators import _check_hermitian_psd, eigendecompose, hermitize
 
 G_CONDITION_LIMIT = 1e12  # GOperator refuses a worse-conditioned element sum
@@ -211,9 +211,7 @@ class QuadratureDataset(MeasurementRecord):
         counts = _checked_counts(self.counts, xs.shape[0])
         if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(thetas))):
             raise ValidationError("thetas and xs must be finite")
-        if not (isinstance(self.dim, (int, np.integer)) and self.dim >= 1):
-            raise ValidationError(f"dim must be a positive integer, got {self.dim!r}")
-        dim = int(self.dim)
+        dim = check_positive_int(self.dim, "dim")
         phases, index, sizes = np.unique(thetas, return_inverse=True, return_counts=True)
         big = sizes >= POOLED_BELOW
         # the samples on large phases, sorted by phase, then the pooled samples in input order

@@ -29,7 +29,7 @@ from typing import ClassVar, NamedTuple
 import numpy as np
 
 from .dataset import PROBABILITY_FLOOR, GOperator, MeasurementRecord
-from .errors import ValidationError
+from .errors import ValidationError, check_positive_int
 from .operators import hermitize, normalize
 
 CYCLE_ATOL = 1e-10
@@ -146,8 +146,7 @@ class ReconstructionConfig:
     def __post_init__(self):
         if not (self.tol_residual > 0 and self.tol_element > 0 and self.tol_loglik > 0):
             raise ValidationError("stopping tolerances must be positive")
-        if self.max_iterations < 1:
-            raise ValidationError("max_iterations must be at least 1")
+        check_positive_int(self.max_iterations, "max_iterations")
 
 
 @dataclass(frozen=True)
@@ -269,7 +268,10 @@ class _GainProfile:
     """
 
     def __init__(self, state: _Step, dataset: MeasurementRecord, g: GOperator | None):
-        self.c = 1.0 / math.sqrt(np.vdot(state.b, state.b @ state.rho).real)
+        scale = np.vdot(state.b, state.b @ state.rho).real
+        if not scale > 0.0:  # B rho B^dag = 0: rho gives every counted outcome probability 0
+            raise ValidationError(f"no line search from this state: tr(B rho B^dag) = {scale:.3e} is not positive")
+        self.c = 1.0 / math.sqrt(scale)
         d = self.c * state.b - np.eye(dataset.dim)
         dr = d @ state.rho
         t1, t2 = dr + dr.conj().T, dr @ d.conj().T
@@ -375,6 +377,8 @@ def _step_at(rho: np.ndarray, dataset: MeasurementRecord, g: GOperator | None) -
 def _iterate(dataset: MeasurementRecord, strategy: EpsilonStrategy, g: GOperator | None, max_iterations: int):
     """Yield the maximally mixed state, then up to max_iterations accepted iterates.
 
+    An outcome with a positive count whose element is zero (trace 0 at the
+    maximally mixed state) has probability 0 under every state, and is refused.
     Each step takes the strategy's candidates in order and accepts the first;
     a monotone strategy accepts only a candidate that raises the objective.
     When it accepts none, the last step yielded repeats the current state with
@@ -384,6 +388,9 @@ def _iterate(dataset: MeasurementRecord, strategy: EpsilonStrategy, g: GOperator
         raise ValidationError(f"unknown step-size strategy {strategy!r}")
     trials = strategy._trials(dataset, g)
     state = _step_at(np.eye(dataset.dim, dtype=np.complex128) / dataset.dim, dataset, g)
+    if (impossible := np.flatnonzero((dataset.counts > 0.0) & (state.traces <= 0.0))).size:
+        raise ValidationError(f"outcome {impossible[0]} has a positive count but a zero element: "
+                              "it has probability 0 under every state")
     yield state
     previous = None  # the iterate before state, for cycle detection
     for _ in range(max_iterations):

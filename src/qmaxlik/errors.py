@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer-argument check that raises one."""
+
+import numbers
 
 
 class DataFormatError(ValueError):
@@ -11,3 +13,12 @@ class ValidationError(ValueError):
 
 class ConvergenceError(ValidationError):
     """An iteration that had to converge stopped without converging."""
+
+
+def check_positive_int(value, name: str) -> int:
+    """``value`` as an int; a bool, a non-integer or a value below 1 is a ``ValidationError``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValidationError(f"{name} must be at least 1")
+    return int(value)

@@ -42,15 +42,23 @@ def _read_text(path: Path) -> str:
         raise DataFormatError(f"{path}: cannot read ({getattr(exc, 'strerror', None) or exc})") from exc
 
 
-def _read_json(path: Path) -> dict:
-    """The file's top-level JSON object; anything else is a ``DataFormatError`` naming the path."""
+def _read_json(path: Path) -> tuple[dict, int]:
+    """The file's top-level JSON object and its 'dim', a JSON integer (not a bool) of at least 1.
+
+    Anything else is a ``DataFormatError`` naming the path.
+    """
     try:
         payload = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(payload, dict):
         raise DataFormatError(f"{path}: top level must be an object")
-    return payload
+    dim = payload.get("dim")
+    if type(dim) is not int:  # JSON's 2.9, 1e400 (inf), true and "2" are not
+        raise DataFormatError(f"{path}: need integer 'dim', got {dim!r}")
+    if dim < 1:
+        raise DataFormatError(f"{path}: dim must be positive")
+    return payload, dim
 
 
 @contextlib.contextmanager
@@ -171,18 +179,11 @@ def parse_dataset(path, dim: int | None = None) -> MeasurementRecord:
 
 
 def _parse_counts_json(path: Path) -> Dataset:
-    payload = _read_json(path)
-    try:
-        dim = int(payload["dim"])
-        records = payload["elements"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataFormatError(f"{path}: need integer 'dim' and list 'elements' ({exc})") from exc
-    if dim < 1:
-        raise DataFormatError(f"{path}: dim must be positive")
+    payload, dim = _read_json(path)
+    records = payload.get("elements")
     if not isinstance(records, list) or not records:
         raise DataFormatError(f"{path}: 'elements' must be a non-empty list")
-    real, imag = np.empty((2, len(records), dim, dim))
-    counts = np.empty(len(records))
+    parts, counts = [], np.empty(len(records))  # the stack is built once every element has its declared shape
     for k, record in enumerate(records):
         where = f"{path}: element {k}"
         if not isinstance(record, dict):
@@ -192,8 +193,9 @@ def _parse_counts_json(path: Path) -> Dataset:
             re, im = record["re"], record["im"]
         except (KeyError, TypeError, ValueError) as exc:
             raise DataFormatError(f"{where}: need 're', 'im', and numeric 'count' ({exc})") from exc
-        real[k], imag[k] = _checked_parts(re, im, dim, where)
-    return Dataset(elements=_complex(real, imag), counts=counts)
+        parts.append(_checked_parts(re, im, dim, where))
+    stack = np.array(parts)  # (k, 2, dim, dim)
+    return Dataset(elements=_complex(stack[:, 0], stack[:, 1]), counts=counts)
 
 
 def write_counts_dataset(path, dataset: MeasurementRecord) -> None:
@@ -241,11 +243,7 @@ def write_quadrature_csv(path, thetas, xs) -> None:
 def parse_state(path) -> np.ndarray:
     """Load a density matrix from JSON ``{dim, re, im}`` and validate it."""
     path = Path(path)
-    payload = _read_json(path)
-    try:
-        dim = int(payload["dim"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataFormatError(f"{path}: need integer 'dim' ({exc})") from exc
+    payload, dim = _read_json(path)
     return validate_density(_complex(*_checked_parts(payload.get("re"), payload.get("im"), dim, str(path))))
 
 
@@ -273,11 +271,10 @@ def write_result_json(path, result: ReconstructionResult) -> None:
 
 
 def parse_result_estimate(path) -> np.ndarray:
-    payload = _read_json(Path(path))
+    payload, dim = _read_json(Path(path))
     try:
-        dim = int(payload["dim"])
         re, im = payload["estimate"]["re"], payload["estimate"]["im"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise DataFormatError(f"{path}: not a result file ({exc!r})") from exc
     return _complex(*_checked_parts(re, im, dim, str(path)))
 

@@ -11,10 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, fock_amplitudes
 from .errors import ValidationError
 from .operators import validate_density
-from .povm import wavefunction_table
 
 RNG_ALGORITHM = "numpy.random.PCG64"
 
@@ -64,10 +63,8 @@ def sample_counts(spec: SimulationSpec, povm) -> Dataset:
 
 def quadrature_density_table(state: np.ndarray, theta: float, grid: np.ndarray) -> np.ndarray:
     """Quadrature marginal p(x | theta) of ``state`` tabulated on ``grid``."""
-    dim = state.shape[0]
-    psi = wavefunction_table(dim, grid)  # (dim, n)
-    chi = np.exp(1j * theta * np.arange(dim))[:, None] * psi
-    density = np.einsum("in,ij,jn->n", chi.conj(), state, chi).real
+    chi = fock_amplitudes([theta], grid, state.shape[0])  # (n, dim), the one phase broadcast over the grid
+    density = np.einsum("ni,ij,nj->n", chi.conj(), state, chi).real
     return np.maximum(density, 0.0)
 
 

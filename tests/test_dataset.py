@@ -210,6 +210,12 @@ class TestQuadratureDataset:
         with pytest.raises(ValidationError, match=r"xs must be a \(samples,\) array"):
             QuadratureDataset(thetas=np.zeros(xs.shape[:1]), xs=xs, counts=np.ones(xs.shape[:1]), dim=2)
 
+    @pytest.mark.parametrize("dim, message", [(True, "dim must be an integer, got True"),
+                                              (2.0, "dim must be an integer, got 2.0"), (0, "dim must be at least 1")])
+    def test_rejects_dim_that_is_not_a_positive_integer(self, dim, message):
+        with pytest.raises(ValidationError, match=message):
+            QuadratureDataset(thetas=np.array([0.0]), xs=np.array([0.5]), counts=np.array([1.0]), dim=dim)
+
     def test_rejects_complex_or_nonfinite_table(self):
         with pytest.raises(ValidationError, match="real"):
             QuadratureDataset(thetas=np.array([0.0]), xs=np.array([1j]), counts=np.array([1.0]), dim=2)

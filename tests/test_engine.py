@@ -294,6 +294,12 @@ class TestLineSearch:
                 assert first == pytest.approx(slope, rel=1e-6, abs=1e-8 * d.total)
                 assert second == pytest.approx(curvature, rel=1e-3, abs=1e-4 * d.total)
 
+    def test_state_that_the_direction_annihilates_is_refused(self, qubit_record):
+        # rho = |0><0| gives the only counted outcome, |1><1|, probability 0: R rho R = 0
+        record = Dataset(elements=qubit_record.elements, counts=np.array([0.0, 2.0]))
+        with pytest.raises(ValidationError, match=r"tr\(B rho B\^dag\) = 0.000e\+00 is not positive"):
+            choose_epsilon_line_search(np.diag([1.0, 0.0]).astype(complex), record)
+
     def test_slope_at_zero_is_twice_the_first_order_gain(self):
         rng = np.random.default_rng(9)
         rho, d = random_instance(rng, dim=3)
@@ -423,6 +429,12 @@ def test_yielded_traces_outlive_later_iterations(strategy):
 def test_config_rejects_non_positive_tolerance(name, value):
     with pytest.raises(ValidationError, match="tolerances"):
         ReconstructionConfig(**{name: value})
+
+
+@pytest.mark.parametrize("value", [2.5, True, np.float64(3.0)])
+def test_config_rejects_non_integer_max_iterations(value):
+    with pytest.raises(ValidationError, match="max_iterations must be an integer"):
+        ReconstructionConfig(max_iterations=value)
 
 
 @pytest.mark.parametrize(

@@ -82,7 +82,7 @@ class TestDatasetRoundTrip:
         "name, payload, message",
         [
             ("data.txt", {}, "unsupported dataset extension '.txt' (use .json or .csv)"),
-            ("data.json", {"elements": [_ELEMENT]}, "{path}: need integer 'dim' and list 'elements'"),
+            ("data.json", {"elements": [_ELEMENT]}, "{path}: need integer 'dim', got None"),
             ("data.json", {"dim": 0, "elements": [_ELEMENT]}, "{path}: dim must be positive"),
             ("data.json", {"dim": 2, "elements": []}, "{path}: 'elements' must be a non-empty list"),
             ("data.json", {"dim": 2, "elements": [3]}, "{path}: element 0: must be an object"),
@@ -103,7 +103,9 @@ class TestDatasetRoundTrip:
             qio.parse_dataset(path)
         assert str(excinfo.value).startswith(message.format(path=path))
 
-    @pytest.mark.parametrize("text", ["{trunc", "[]", '{"dim": 2}', '{"dim": 2, "estimate": {"re": []}}'])
+    @pytest.mark.parametrize("text", ["{trunc", "[]", '{"dim": 2}', '{"dim": 2, "estimate": {"re": []}}',
+                                      '{"dim": 1e400, "estimate": {"re": [[1.0]], "im": [[0.0]]}}',
+                                      '{"dim": true, "estimate": {"re": [[1.0]], "im": [[0.0]]}}'])
     def test_malformed_result_rejected(self, tmp_path, text):
         path = tmp_path / "result.json"
         path.write_text(text)
@@ -837,6 +839,77 @@ class TestStateFiles:
         path.write_text(json.dumps({"dim": 2, "re": [[2.0, 0.0], [0.0, -1.0]], "im": [[0.0] * 2] * 2}))
         with pytest.raises(Exception, match="semidefinite"):
             qio.parse_state(path)
+
+
+def _with_dim(payload: dict, dim: str) -> str:
+    """``payload`` as JSON text with ``dim`` (JSON source, such as 1e400) as its 'dim'."""
+    return json.dumps({"dim": "@", **payload}).replace('"@"', dim, 1)
+
+
+class TestJsonDim:
+    """'dim' is a JSON integer of at least 1 in every JSON reader; anything else is a parse error."""
+
+    BAD = {"1e400": "need integer 'dim', got inf", "2.9": "need integer 'dim', got 2.9",
+           "true": "need integer 'dim', got True", '"2"': "need integer 'dim', got '2'",
+           "2.0": "need integer 'dim', got 2.0", "0": "dim must be positive"}
+
+    @pytest.mark.parametrize("dim", list(BAD))
+    @pytest.mark.parametrize("command", ["reconstruct", "simulate"])
+    def test_bad_dim_exits_two_with_one_line(self, tmp_path, capsys, command, dim):
+        path, out = tmp_path / "input.json", tmp_path / "out.csv"
+        if command == "reconstruct":
+            path.write_text(_with_dim({"elements": [_ELEMENT]}, dim))
+            argv = ["reconstruct", str(path), "--out", str(out)]
+        else:
+            path.write_text(_with_dim({"re": [[0.5, 0.0], [0.0, 0.5]], "im": [[0.0] * 2] * 2}, dim))
+            argv = ["simulate", "--state-file", str(path), "--n", "10", "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"parse error: {path}: {self.BAD[dim]}\n"
+        assert not out.exists()
+
+    def test_declared_dim_is_checked_against_the_elements_before_the_stack(self, tmp_path, capsys):
+        # 1e5 x 1e5 re/im arrays would take 149 GiB
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"dim": 100000, "elements": [{"re": [[1.0]], "im": [[0.0]], "count": 1.0}]}))
+        assert main(["reconstruct", str(path), "--out", str(tmp_path / "r.json")]) == 2
+        assert capsys.readouterr().err == (
+            f"parse error: {path}: element 0: expected 100000x100000 re/im arrays, got (1, 1) and (1, 1)\n")
+
+    @pytest.mark.parametrize("dim", ["1e400", "2.9"])
+    def test_cache_entry_with_bad_dim_is_rewritten(self, tmp_path, counterexample_json, dim):
+        cache = tmp_path / "cache"
+        args = ["sweep", str(counterexample_json), "--epsilons", "0.5,inf", "--tolerances", "1e-4",
+                "--cache-dir", str(cache)]
+        cold, warm = tmp_path / "cold.csv", tmp_path / "warm.csv"
+        assert main(args + ["--out", str(cold)]) == 0
+        (cached,) = cache.glob("reference-*.json")
+        intact = cached.read_bytes()
+        assert intact.count(b'"dim": 2,') == 1
+        cached.write_bytes(intact.replace(b'"dim": 2,', f'"dim": {dim},'.encode()))
+        assert main(args + ["--out", str(warm)]) == 0
+        assert warm.read_bytes() == cold.read_bytes()
+        assert cached.read_bytes() == intact
+
+
+class TestImpossibleOutcome:
+    """A positive count on a zero element has probability 0 under every state: exit 3 and one line."""
+
+    @pytest.mark.parametrize("argv", [["reconstruct", "--strategy", "rhor"],
+                                      ["reconstruct", "--strategy", "fixed", "--epsilon", "1"],
+                                      ["reconstruct", "--strategy", "adaptive"],
+                                      ["reconstruct", "--strategy", "linesearch"],
+                                      ["reconstruct", "--strategy", "random"], ["sweep"]],
+                             ids=["rhor", "fixed", "adaptive", "linesearch", "random", "sweep"])
+    def test_exit_three_with_one_line(self, tmp_path, capsys, argv):
+        path, out = tmp_path / "zero.json", tmp_path / "out"
+        zero = {"re": [[0.0, 0.0], [0.0, 0.0]], "im": [[0.0] * 2] * 2, "count": 3.0}
+        ground = {"re": [[1.0, 0.0], [0.0, 0.0]], "im": [[0.0] * 2] * 2, "count": 0.0}
+        path.write_text(json.dumps({"dim": 2, "elements": [zero, ground]}))
+        assert main([argv[0], str(path), *argv[1:], "--out", str(out)]) == 3
+        assert capsys.readouterr().err == ("validation error: outcome 0 has a positive count but a zero element: "
+                                           "it has probability 0 under every state\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["zero.json"]
 
 
 class TestAtomicWrites:

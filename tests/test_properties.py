@@ -46,51 +46,54 @@ def test_cauchy_schwarz_lower_bound(seed, dim, kind):
     assert (r @ rho @ r).trace().real >= 1.0 - 1e-10
 
 
-def test_diluted_step_preserves_density_invariants():
-    rng = np.random.default_rng(102)
-    for _ in range(100):
-        rho, d = random_instance(rng)
-        for eps in (1e-3, 1.0, 1e3):
-            validate_density(diluted_step(rho, d, eps), tol=1e-8)
+COUNTED = {"seed": st.integers(0, 2**32 - 1)}  # a random state with a counted record on a complete POVM
 
 
-def test_small_eps_never_decreases_likelihood():
-    rng = np.random.default_rng(103)
-    for _ in range(200):
-        rho, d = random_instance(rng)
-        before = log_likelihood(rho, d)
-        after = log_likelihood(diluted_step(rho, d, 1e-3), d)
-        assert after - before >= -1e-12
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(**COUNTED)
+def test_diluted_step_preserves_density_invariants(seed):
+    rho, d = random_instance(np.random.default_rng(seed))
+    for eps in (1e-3, 1.0, 1e3):
+        validate_density(diluted_step(rho, d, eps), tol=1e-8)
 
 
-def test_large_eps_matches_quadratic_update():
-    rng = np.random.default_rng(104)
-    for _ in range(100):
-        rho, d = random_instance(rng)
-        diluted = diluted_step(rho, d, 1e8)
-        quadratic = diluted_step(rho, d, math.inf)
-        assert np.max(np.abs(diluted - quadratic)) <= 1e-6
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(**COUNTED)
+def test_small_eps_never_decreases_likelihood(seed):
+    rho, d = random_instance(np.random.default_rng(seed))
+    before = log_likelihood(rho, d)
+    after = log_likelihood(diluted_step(rho, d, 1e-3), d)
+    assert after - before >= -1e-12
 
 
-def test_first_order_gain_bounds_error_quadratically():
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(**COUNTED)
+def test_large_eps_matches_quadratic_update(seed):
+    rho, d = random_instance(np.random.default_rng(seed))
+    diluted = diluted_step(rho, d, 1e8)
+    quadratic = diluted_step(rho, d, math.inf)
+    assert np.max(np.abs(diluted - quadratic)) <= 1e-6
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(**COUNTED)
+def test_first_order_gain_bounds_error_quadratically(seed):
     # |actual gain - first-order gain| <= C eps^2 with C fitted at the two larger eps
-    rng = np.random.default_rng(105)
-    for _ in range(40):
-        rho, d = random_instance(rng, normalized_weights=True)
-        base = log_likelihood(rho, d)
-        errors = {}
-        for eps in (1e-4, 1e-5, 1e-6):
-            actual = log_likelihood(diluted_step(rho, d, eps), d) - base
-            errors[eps] = abs(actual - likelihood_gain_first_order(rho, d, eps))
-        c = max(errors[1e-4] / 1e-4**2, errors[1e-5] / 1e-5**2)
-        assert errors[1e-6] <= 1.5 * c * 1e-6**2 + 1e-12
+    rho, d = random_instance(np.random.default_rng(seed), normalized_weights=True)
+    base = log_likelihood(rho, d)
+    errors = {}
+    for eps in (1e-4, 1e-5, 1e-6):
+        actual = log_likelihood(diluted_step(rho, d, eps), d) - base
+        errors[eps] = abs(actual - likelihood_gain_first_order(rho, d, eps))
+    c = max(errors[1e-4] / 1e-4**2, errors[1e-5] / 1e-5**2)
+    assert errors[1e-6] <= 1.5 * c * 1e-6**2 + 1e-12
 
 
-def test_probabilities_positive_even_for_pure_states():
-    rng = np.random.default_rng(106)
-    for _ in range(50):
-        rho, d = random_instance(rng)
-        values, vectors = np.linalg.eigh(rho)
-        pure = np.outer(vectors[:, -1], vectors[:, -1].conj())  # rank-1 edge case
-        probs = outcome_probabilities(pure, d)
-        assert np.all(probs >= 1e-12)
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(**COUNTED)
+def test_probabilities_positive_even_for_pure_states(seed):
+    rho, d = random_instance(np.random.default_rng(seed))
+    values, vectors = np.linalg.eigh(rho)
+    pure = np.outer(vectors[:, -1], vectors[:, -1].conj())  # rank-1 edge case
+    probs = outcome_probabilities(pure, d)
+    assert np.all(probs >= 1e-12)

@@ -85,7 +85,7 @@ class TestIterationCounts:
         with pytest.raises(ValidationError):
             sweep_iteration_counts(counterexample_dataset(), MLE, [], [1e-3])
 
-    @pytest.mark.parametrize("max_iterations", [0, -3])
+    @pytest.mark.parametrize("max_iterations", [0, -3, 2.5, True])
     def test_rejects_non_positive_max_iterations(self, max_iterations):
         with pytest.raises(ValidationError, match="max_iterations"):
             sweep_iteration_counts(counterexample_dataset(), MLE, [1.0], [1e-3], max_iterations=max_iterations)
