@@ -19,7 +19,6 @@ from .engine import (
     Termination,
     choose_epsilon_line_search,
     diluted_step,
-    extremal_residual,
     likelihood_gain_first_order,
     log_likelihood,
     outcome_probabilities,
@@ -27,14 +26,7 @@ from .engine import (
     reconstruct,
 )
 from .errors import ConvergenceError, DataFormatError, ValidationError
-from .operators import (
-    eigendecompose,
-    fidelity,
-    hermitize,
-    normalize,
-    validate_density,
-    validate_povm_element,
-)
+from .operators import fidelity, hermitize, normalize, validate_density
 from .povm import (
     counterexample_dataset,
     projector_from_state,
@@ -66,8 +58,6 @@ __all__ = [
     "choose_epsilon_line_search",
     "counterexample_dataset",
     "diluted_step",
-    "eigendecompose",
-    "extremal_residual",
     "fidelity",
     "hermitize",
     "likelihood_gain_first_order",
@@ -85,5 +75,4 @@ __all__ = [
     "sample_quadratures",
     "sweep_iteration_counts",
     "validate_density",
-    "validate_povm_element",
 ]

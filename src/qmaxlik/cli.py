@@ -50,12 +50,21 @@ def _fixed_epsilon(args) -> FixedEpsilon:
     return FixedEpsilon(epsilon=args.epsilon)
 
 
+def _without_epsilon(strategy):
+    """The builder of a strategy that reads no --epsilon: one given is refused, not ignored."""
+    def build(args):
+        if args.epsilon is not None:
+            raise ValidationError(f"--strategy {args.strategy} takes no --epsilon")
+        return strategy
+    return build
+
+
 # The --strategy choices, each with the step-size strategy it builds from the parsed flags.
 STRATEGIES = {
-    "rhor": lambda args: FixedEpsilon(math.inf),
+    "rhor": _without_epsilon(FixedEpsilon(math.inf)),
     "fixed": _fixed_epsilon,
-    "adaptive": lambda args: AdaptiveBackoff(),
-    "linesearch": lambda args: LineSearchEpsilon(),
+    "adaptive": _without_epsilon(AdaptiveBackoff()),
+    "linesearch": _without_epsilon(LineSearchEpsilon()),
     "random": lambda args: RandomEpsilon(seed=args.seed,
                                          **({} if args.epsilon is None else {"epsilon_max": args.epsilon})),
 }

@@ -12,14 +12,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError, check_positive_int
-from .operators import _check_hermitian_psd, eigendecompose, hermitize
+from .operators import _check_hermitian_psd, hermitize
 
 G_CONDITION_LIMIT = 1e12  # GOperator refuses a worse-conditioned element sum
 PROBABILITY_FLOOR = 1e-12  # every probability tr(Pi_j rho) is raised to at least this
 
 
 def _checked_counts(counts, n_outcomes: int) -> np.ndarray:
-    counts = np.asarray(counts, dtype=np.float64)
+    counts = np.array(counts, dtype=np.float64)
     if counts.shape != (n_outcomes,):
         raise ValidationError(f"counts shape {counts.shape} does not match {n_outcomes} outcomes")
     if n_outcomes == 0:
@@ -28,11 +28,12 @@ def _checked_counts(counts, n_outcomes: int) -> np.ndarray:
         raise ValidationError("counts must be finite and non-negative")
     if not np.any(counts > 0):
         raise ValidationError("dataset needs at least one positive count")
+    counts.flags.writeable = False
     return counts
 
 
 class MeasurementRecord:
-    """Outcomes with counts; each record also gives dim, elements, traces and weighted_sum."""
+    """Outcomes with counts, kept as read-only copies; each record also gives dim, elements, traces and weighted_sum."""
 
     counts: np.ndarray
 
@@ -70,13 +71,14 @@ class Dataset(MeasurementRecord):
     counts: np.ndarray
 
     def __post_init__(self):
-        elements = np.asarray(self.elements, dtype=np.complex128)
+        elements = np.array(self.elements, dtype=np.complex128)
         if not np.all(np.isfinite(elements)):
             raise ValidationError("measurement elements must be finite")
         if elements.ndim != 3 or elements.shape[1] != elements.shape[2] or elements.shape[1] < 1:
             raise ValidationError(f"elements must be a (k, dim, dim) stack, got {elements.shape}")
         counts = _checked_counts(self.counts, elements.shape[0])
         _check_hermitian_psd(elements)
+        elements.flags.writeable = False
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "counts", counts)
 
@@ -102,8 +104,7 @@ def wavefunction_table(dim: int, x) -> np.ndarray:
 
         psi_{n+1} = sqrt(2/(n+1)) x psi_n - sqrt(n/(n+1)) psi_{n-1}
     """
-    if dim < 1:
-        raise ValidationError("dimension must be at least 1")
+    check_positive_int(dim, "dimension")
     xs = np.atleast_1d(np.asarray(x, dtype=np.float64))
     if not np.all(np.isfinite(xs)):
         raise ValidationError("quadrature values must be finite")
@@ -202,8 +203,8 @@ class QuadratureDataset(MeasurementRecord):
     def __post_init__(self):
         if np.iscomplexobj(self.thetas) or np.iscomplexobj(self.xs):
             raise ValidationError("thetas and xs must be real")
-        thetas = np.asarray(self.thetas, dtype=np.float64)
-        xs = np.asarray(self.xs, dtype=np.float64)
+        thetas = np.array(self.thetas, dtype=np.float64)
+        xs = np.array(self.xs, dtype=np.float64)
         if xs.ndim != 1:
             raise ValidationError(f"xs must be a (samples,) array, got {xs.shape}")
         if thetas.shape != xs.shape:
@@ -212,6 +213,7 @@ class QuadratureDataset(MeasurementRecord):
         if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(thetas))):
             raise ValidationError("thetas and xs must be finite")
         dim = check_positive_int(self.dim, "dim")
+        thetas.flags.writeable = xs.flags.writeable = False
         phases, index, sizes = np.unique(thetas, return_inverse=True, return_counts=True)
         big = sizes >= POOLED_BELOW
         # the samples on large phases, sorted by phase, then the pooled samples in input order
@@ -305,7 +307,8 @@ class GOperator:
 
     def __post_init__(self):
         matrix = hermitize(self.matrix)
-        values, vectors = eigendecompose(matrix)
+        values, vectors = np.linalg.eigh(matrix)
+        values, vectors = values[::-1], vectors[:, ::-1]  # descending: the inverse is summed in this order
         lo, hi = values[-1], values[0]
         if not (lo > 0.0 and hi / lo <= G_CONDITION_LIMIT):
             raise ValidationError(

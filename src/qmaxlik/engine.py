@@ -222,12 +222,6 @@ def _direction(r: np.ndarray, g: GOperator | None) -> np.ndarray:
     return r if g is None else g.inverse @ r
 
 
-def extremal_residual(rho, dataset: MeasurementRecord) -> float:
-    """Frobenius norm of R rho - rho; zero exactly at the maximum-likelihood state."""
-    rho = _check_dims(rho, dataset)
-    return _residual(rho, r_operator(rho, dataset), None)
-
-
 def _residual(rho: np.ndarray, r: np.ndarray, g: GOperator | None) -> float:
     """Frobenius norm of R rho - rho, or with G-correction of tr(G rho) G^-1 R rho - rho."""
     if g is None:

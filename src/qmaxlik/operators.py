@@ -51,20 +51,6 @@ def normalize(m) -> np.ndarray:
     return a / tr
 
 
-def eigendecompose(m) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (descending, real) and orthonormal eigenvector columns of a Hermitian matrix.
-
-    Returns
-    -------
-    values : (dim,) float array, sorted descending.
-    vectors : (dim, dim) complex array; column k pairs with values[k], and
-        ``m == vectors @ diag(values) @ vectors.conj().T`` to 1e-10.
-    """
-    a = as_operator(m)
-    values, vectors = np.linalg.eigh(a)
-    return values[::-1].copy(), vectors[:, ::-1].copy()
-
-
 def _check_hermitian_psd(stack: np.ndarray, hermiticity_atol: float = HERMITICITY_ATOL,
                          psd_atol: float = PSD_ATOL, name: str = "a measurement element") -> None:
     """Raise ValidationError unless every matrix of the (k, dim, dim) stack is Hermitian to
@@ -87,13 +73,6 @@ def validate_density(m, tol: float = PSD_ATOL) -> np.ndarray:
     if abs(tr - 1.0) > tol:
         raise ValidationError(f"trace {float(tr)!r} differs from 1 by more than {tol:.1e}")
     _check_hermitian_psd(a[None], max(HERMITICITY_ATOL, tol), tol, "matrix")
-    return a
-
-
-def validate_povm_element(m) -> np.ndarray:
-    """Check that ``m`` is a valid measurement element (Hermitian to HERMITICITY_ATOL, PSD to PSD_ATOL)."""
-    a = as_operator(m)
-    _check_hermitian_psd(a[None])
     return a
 
 

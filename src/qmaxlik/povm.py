@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dataset import Dataset, QuadratureDataset, fock_amplitudes, wavefunction_table
+from .dataset import Dataset, QuadratureDataset, fock_amplitudes
 from .errors import ValidationError
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset, fock_amplitudes
-from .errors import ValidationError
+from .errors import ValidationError, check_positive_int
 from .operators import validate_density
 
 RNG_ALGORITHM = "numpy.random.PCG64"
@@ -35,8 +35,7 @@ class SimulationSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "state", validate_density(self.state))
-        if self.count < 1:
-            raise ValidationError("sample count must be at least 1")
+        check_positive_int(self.count, "sample count")
         if self.seed < 0:
             raise ValidationError("seed must be non-negative")
 
@@ -88,8 +87,7 @@ def sample_quadratures(spec: SimulationSpec, phases, dim: int) -> tuple[np.ndarr
         raise ValidationError("need at least one phase")
     if not np.all(np.isfinite(phase_list)):
         raise ValidationError("phases must be finite")
-    if dim < 1:
-        raise ValidationError("dimension must be at least 1")
+    check_positive_int(dim, "dimension")
     if spec.state.shape[0] != dim:
         raise ValidationError("true state dimension does not match requested dim")
 

@@ -75,7 +75,8 @@ def sweep_iteration_counts(
     every tolerance reads its first-crossing step off the same trajectory).
     Rows, one per distinct (eps, tolerance), are ordered by (tolerance, eps)
     with eps = inf last; a trajectory that cycles or runs out of iterations
-    before crossing gets converged = False.
+    before crossing gets converged = False and the iteration it stopped at:
+    the step that closed the cycle, or max_iterations.
     """
     eps_list = sorted({float(e) for e in epsilons})
     tol_list = sorted({float(t) for t in tolerances})
@@ -99,5 +100,5 @@ def sweep_iteration_counts(
                 rows.append(SweepRow(epsilon=eps, tolerance=remaining.pop(), iterations=iteration, converged=True))
             if not remaining or step.cycled:
                 break  # after a period-two cycle no further progress is possible
-        rows += [SweepRow(epsilon=eps, tolerance=tol, iterations=max_iterations, converged=False) for tol in remaining]
+        rows += [SweepRow(epsilon=eps, tolerance=tol, iterations=iteration, converged=False) for tol in remaining]
     return sorted(rows, key=lambda row: (row.tolerance, row.epsilon))

@@ -11,7 +11,6 @@ from qmaxlik import (
     ValidationError,
     counterexample_dataset,
     outcome_probabilities,
-    povm,
     preset_state,
     quadrature_dataset,
     quadrature_projector,
@@ -36,6 +35,16 @@ class TestDataset:
         d = random_dataset(rng, 3)
         assert d.total == pytest.approx(d.counts.sum(), rel=1e-12)
 
+    def test_owns_its_arrays(self):
+        elements, counts = np.stack([np.eye(2), np.eye(2)]).astype(complex) / 2, np.array([1.0, 2.0])
+        d = Dataset(elements=elements, counts=counts)
+        elements[0], counts[1] = -np.eye(2), 1e9  # the caller's arrays change after the record is checked
+        np.testing.assert_array_equal(d.elements[0], np.eye(2) / 2)
+        assert d.total == 3.0
+        for stored in (d.elements, d.counts):
+            with pytest.raises(ValueError, match="read-only"):
+                stored[0] = 0.0
+
     def test_rejects_all_zero_counts(self):
         eye = np.eye(2, dtype=complex)
         with pytest.raises(ValidationError, match="positive count"):
@@ -47,9 +56,10 @@ class TestDataset:
             Dataset(elements=np.stack([eye, eye]), counts=np.array([1.0, -2.0]))
 
     def test_rejects_non_hermitian_element(self):
-        bad = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
-        with pytest.raises(ValidationError, match="Hermitian"):
-            Dataset(elements=bad[None], counts=np.array([1.0]))
+        for skew in (1.0, 1e-10):  # 1e-10: the Hermiticity tolerance is 1e-12
+            bad = np.array([[1.0, skew], [0.0, 1.0]], dtype=complex)
+            with pytest.raises(ValidationError, match="a measurement element is not Hermitian: skew"):
+                Dataset(elements=bad[None], counts=np.array([1.0]))
 
     def test_rejects_negative_element(self):
         bad = np.diag([1.0, -0.5]).astype(complex)
@@ -126,6 +136,17 @@ def _dense(record):
 
 
 class TestQuadratureDataset:
+    def test_owns_its_arrays(self):
+        thetas, xs, counts = np.zeros(3), np.array([0.0, 0.5, 1.0]), np.ones(3)
+        record = QuadratureDataset(thetas=thetas, xs=xs, counts=counts, dim=2)
+        thetas[0], xs[0], counts[0] = 1.0, 9.0, 1e9
+        np.testing.assert_array_equal(record.thetas, np.zeros(3))
+        np.testing.assert_array_equal(record.xs, [0.0, 0.5, 1.0])
+        assert record.total == 3.0
+        for stored in (record.thetas, record.xs, record.counts):
+            with pytest.raises(ValueError, match="read-only"):
+                stored[0] = 0.0
+
     @pytest.mark.parametrize("layout", ["few", "distinct", "mix", "single"])
     def test_kernels_match_element_stack(self, layout):
         rng = np.random.default_rng(11)
@@ -261,7 +282,6 @@ def _extended_traces(record, rho):
 class TestProductBasis:
     def test_table_reproduces_wavefunction_products(self):
         x = np.linspace(-10.0, 10.0, 2001)
-        assert povm.wavefunction_table is wavefunction_table
         for dim in range(1, 31):
             table = product_table(dim)
             assert table is product_table(dim) and table.shape == (dim * dim, 2 * dim - 1)

@@ -22,7 +22,6 @@ from qmaxlik import (
     dataset,
     diluted_step,
     engine,
-    extremal_residual,
     likelihood_gain_first_order,
     log_likelihood,
     outcome_probabilities,
@@ -141,11 +140,14 @@ class TestSteps:
 
 
 class TestExtremalResidual:
+    """The loop's stationarity residual ||R rho - rho||_F without G-correction."""
+
     def test_zero_at_maximum(self, qubit_record):
-        assert extremal_residual(MLE, qubit_record) <= 1e-12
+        assert engine._residual(MLE, r_operator(MLE, qubit_record), None) <= 1e-12
 
     def test_at_uniform(self, qubit_record):
-        assert extremal_residual(UNIFORM, qubit_record) == pytest.approx(math.sqrt(2) / 6, abs=1e-12)
+        residual = engine._residual(UNIFORM, r_operator(UNIFORM, qubit_record), None)
+        assert residual == pytest.approx(math.sqrt(2) / 6, abs=1e-12)
 
     def test_zero_when_frequencies_match(self):
         rng = np.random.default_rng(9)
@@ -154,7 +156,7 @@ class TestExtremalResidual:
         counts = outcome_probabilities(rho, Dataset(elements=povm, counts=np.ones(3)))
         d = Dataset(elements=povm, counts=counts * 100)
         diag = np.diag(np.diag(rho))  # same outcome probabilities, R = identity
-        assert extremal_residual(diag, d) <= 1e-12
+        assert engine._residual(diag, r_operator(diag, d), None) <= 1e-12
 
 
 class TestFirstOrderGain:

@@ -325,6 +325,11 @@ class TestStrategyFlags:
             (["reconstruct", "{data}", "--strategy", "fixed"], "--strategy fixed requires --epsilon"),
             (["reconstruct", "{data}", "--strategy", "fixed", "--epsilon", "0"], "epsilon must be positive"),
             (["reconstruct", "{data}", "--strategy", "fixed", "--epsilon", "nan"], "epsilon must be positive"),
+            (["reconstruct", "{data}", "--strategy", "adaptive", "--epsilon", "0.001"],
+             "--strategy adaptive takes no --epsilon"),
+            (["reconstruct", "{data}", "--strategy", "rhor", "--epsilon", "1"], "--strategy rhor takes no --epsilon"),
+            (["reconstruct", "{data}", "--strategy", "linesearch", "--epsilon", "1"],
+             "--strategy linesearch takes no --epsilon"),
         ],
     )
     def test_exit_three_with_one_line(self, tmp_path, capsys, counterexample_json, argv, message):
@@ -743,6 +748,7 @@ _SOLVABLE = st.fixed_dictionaries({
 @example(command="simulate", strategy="random", **{**_VALID, "extensionless": True})
 @example(command="reconstruct", strategy="fixed", **{**_VALID, "epsilon": "1.7e308"})
 @example(command="reconstruct", strategy="random", **{**_VALID, "epsilon": "1e308"})
+@example(command="reconstruct", strategy="adaptive", **{**_VALID, "epsilon": "0.001"})
 @given(
     command=st.sampled_from(["reconstruct", "sweep", "simulate"]),
     lists=st.tuples(st.none() | _LIST, st.none() | _LIST),  # None keeps the flag's default
@@ -767,6 +773,7 @@ def test_cli_flag_fuzz(tmp_path_factory, command, lists, tolerances, dim, counts
     if solvable is not None:
         payload, out_kind, dim = None, "fresh", None
         tolerances, lists, epsilon, seed = (solvable[key] for key in ("tolerances", "lists", "epsilon", "seed"))
+        epsilon = epsilon if strategy in ("fixed", "random") else None  # only these two read --epsilon
         counts = (*counts[:2], solvable["max_iters"])
     workdir = tmp_path_factory.mktemp("fuzz")
     out = workdir / {"fresh": "out", "directory": "folder", "missing_parent": "missing/out"}[out_kind]
@@ -807,6 +814,8 @@ def test_cli_flag_fuzz(tmp_path_factory, command, lists, tolerances, dim, counts
         assert code in (2, 3)
     if command == "reconstruct" and strategy == "random" and seed < 0:
         assert code in (2, 3)
+    if command == "reconstruct" and strategy not in ("fixed", "random") and epsilon is not None:
+        assert code == 3 or stderr.getvalue().startswith(("usage:", "parse error:"))  # unless parsing failed first
     if payload is not None and not _decodes(payload):
         assert code == 2
     if solvable is not None and command != "simulate":

@@ -1,15 +1,7 @@
 import numpy as np
 import pytest
 
-from qmaxlik import (
-    ValidationError,
-    eigendecompose,
-    fidelity,
-    hermitize,
-    normalize,
-    validate_density,
-    validate_povm_element,
-)
+from qmaxlik import ValidationError, fidelity, hermitize, normalize, validate_density
 from support import random_density
 
 
@@ -83,46 +75,6 @@ class TestValidateDensity:
     def test_rejects_wrong_trace(self):
         with pytest.raises(ValidationError, match="trace"):
             validate_density(np.diag([0.7, 0.7]))
-
-    def test_povm_element_non_hermitian_rejected(self):
-        for skew in (0.5, 1e-10):  # 1e-10: the Hermiticity tolerance is Dataset's 1e-12
-            with pytest.raises(ValidationError, match="a measurement element is not Hermitian: skew"):
-                validate_povm_element(np.array([[1.0, skew], [0.0, 1.0]]))
-
-    def test_povm_element_returned_unchanged(self):
-        element = np.array([[0.5, 0.25j], [-0.25j, 0.5]])
-        np.testing.assert_array_equal(validate_povm_element(element), element)
-
-    def test_povm_element_negative_rejected(self):
-        with pytest.raises(ValidationError):
-            validate_povm_element(np.diag([1.0, -0.1]))
-
-
-class TestEigendecompose:
-    def test_diagonal_input(self):
-        values, _ = eigendecompose(np.diag([1 / 3, 2 / 3]))
-        np.testing.assert_allclose(values, [2 / 3, 1 / 3])
-
-    def test_pauli_x_spectrum(self):
-        values, vectors = eigendecompose(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        np.testing.assert_allclose(values, [1.0, -1.0], atol=1e-14)
-        np.testing.assert_allclose(np.abs(vectors[:, 0]), [np.sqrt(0.5)] * 2, atol=1e-14)
-
-    def test_identity(self):
-        values, vectors = eigendecompose(np.eye(3))
-        np.testing.assert_allclose(values, np.ones(3))
-        np.testing.assert_allclose(vectors.conj().T @ vectors, np.eye(3), atol=1e-14)
-
-    def test_roundtrip_random(self):
-        rng = np.random.default_rng(3)
-        for _ in range(60):
-            dim = int(rng.integers(2, 17))
-            m = hermitize(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
-            values, vectors = eigendecompose(m)
-            assert np.all(np.diff(values) <= 0)
-            rebuilt = (vectors * values) @ vectors.conj().T
-            assert np.max(np.abs(rebuilt - m)) <= 1e-10
-            assert np.max(np.abs(vectors.conj().T @ vectors - np.eye(dim))) <= 1e-10
 
 
 class TestFidelity:

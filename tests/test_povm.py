@@ -11,7 +11,7 @@ from qmaxlik import (
     quadrature_projector,
     r_operator,
 )
-from qmaxlik.povm import wavefunction_table
+from qmaxlik.dataset import wavefunction_table
 
 
 class TestProjectorFromState:
@@ -80,8 +80,8 @@ class TestHarmonicWavefunction:
     @pytest.mark.parametrize(
         "dim, x, message",
         [(0, 0.0, "dimension must be at least 1"), (3, [0.0, np.nan], "quadrature values must be finite"),
-         (3, -np.inf, "quadrature values must be finite")],
-        ids=["zero-dim", "nan-x", "inf-x"],
+         (3, -np.inf, "quadrature values must be finite"), (2.5, 0.0, "dimension must be an integer, got 2.5")],
+        ids=["zero-dim", "nan-x", "inf-x", "float-dim"],
     )
     def test_invalid_input_rejected(self, dim, x, message):
         with pytest.raises(ValidationError, match=message):

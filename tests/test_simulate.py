@@ -112,8 +112,9 @@ class TestSampleQuadratures:
     @pytest.mark.parametrize(
         "phases, dim, message",
         [([], 2, "need at least one phase"), ([0.0, np.nan], 2, "phases must be finite"),
-         ([0.0], 0, "dimension must be at least 1"), ([0.0], 3, "true state dimension does not match requested dim")],
-        ids=["no-phase", "nan-phase", "zero-dim", "wrong-dim"],
+         ([0.0], 0, "dimension must be at least 1"), ([0.0], 3, "true state dimension does not match requested dim"),
+         ([0.0], 2.5, "dimension must be an integer, got 2.5")],
+        ids=["no-phase", "nan-phase", "zero-dim", "wrong-dim", "float-dim"],
     )
     def test_bad_arguments_rejected(self, phases, dim, message):
         spec = SimulationSpec(state=preset_state("vacuum", 2), seed=0, count=10)
@@ -157,6 +158,11 @@ class TestPresets:
     def test_spec_rejects_zero_count(self):
         with pytest.raises(ValidationError):
             SimulationSpec(state=np.eye(2, dtype=complex) / 2, seed=0, count=0)
+
+    @pytest.mark.parametrize("count", [2.5, True])
+    def test_spec_rejects_non_integer_count(self, count):
+        with pytest.raises(ValidationError, match=f"sample count must be an integer, got {count!r}"):
+            SimulationSpec(state=np.eye(2, dtype=complex) / 2, seed=0, count=count)
 
     def test_spec_rejects_negative_seed(self):
         with pytest.raises(ValidationError, match="seed must be non-negative"):

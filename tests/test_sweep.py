@@ -45,7 +45,7 @@ class TestIterationCounts:
         reference = reference_solution(d, max_iterations=1000).estimate
         rows = sweep_iteration_counts(d, reference, [math.inf], [1e-6], max_iterations=1000)
         assert rows[0].converged is False
-        assert rows[0].iterations == 1000
+        assert rows[0].iterations == 2  # the step that closes the cycle, not the cap
 
     def test_rows_ordered_by_tolerance_then_eps(self):
         d = counterexample_dataset()
