@@ -27,10 +27,10 @@ from .engine import (
     Termination,
     reconstruct,
 )
-from .errors import ConvergenceError, DataFormatError, ValidationError
+from .errors import ConvergenceError, DataFormatError, ValidationError, check_int
 from .operators import validate_density
 from .povm import projector_from_state
-from .simulate import RNG_ALGORITHM, SimulationSpec, preset_state, sample_counts, sample_quadratures
+from .simulate import PRESETS, RNG_ALGORITHM, SimulationSpec, preset_state, sample_counts, sample_quadratures
 from .sweep import DEFAULT_MAX_ITERATIONS, reference_solution, sweep_iteration_counts
 
 EXIT_OK = 0
@@ -126,12 +126,12 @@ def _parse_float_list(text: str, allow_inf: bool) -> list[float]:
     return values
 
 
-def _cached_reference(dataset_path: Path, dataset, dim, max_iters: int, cache_dir: Path):
+def _cached_reference(dataset_path: Path, dataset, max_iters: int, cache_dir: Path):
     """The cached reference solution for this input and solve, if any, and its cache file.
 
     An entry that is not a density matrix of the dataset's dimension is a miss.
     """
-    key = f"|dim={dim}|max_iters={max_iters}|solver={SOLVER_DIGEST}"
+    key = f"|dim={dataset.dim}|max_iters={max_iters}|solver={SOLVER_DIGEST}"
     digest = hashlib.sha256(dataset_path.read_bytes() + key.encode()).hexdigest()
     cache_file = cache_dir / f"reference-{digest[:24]}.json"
     if cache_file.exists():
@@ -153,7 +153,7 @@ def cmd_sweep(args) -> int:
     cache_dir = io.writable_directory(args.cache_dir or out.parent / ".sweep-cache")
 
     start = time.perf_counter()
-    reference, cache_file = _cached_reference(dataset_path, dataset, args.dim, args.max_iters, cache_dir)
+    reference, cache_file = _cached_reference(dataset_path, dataset, args.max_iters, cache_dir)
     if reference is None:
         try:
             ref_result = reference_solution(dataset, max_iterations=args.max_iters)
@@ -181,8 +181,8 @@ def cmd_simulate(args) -> int:
     state = io.parse_state(args.state_file) if args.state_file else preset_state(args.preset, args.dim)
     dim = state.shape[0]
     spec = SimulationSpec(state=state, seed=args.seed, count=args.n)
-    if args.format == "quadrature" and args.phases < 1:
-        raise ValidationError("--phases must be at least 1")
+    if args.format == "quadrature":
+        check_int(args.phases, "--phases")
     out = io.writable_path(args.out)
     suffix = {"quadrature": ".csv", "counts": ".json"}[args.format]
     if out.suffix.lower() != suffix:  # reconstruct reads a dataset by its extension
@@ -239,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="draw synthetic data from a known state")
     group = sim.add_mutually_exclusive_group()
-    group.add_argument("--preset", choices=["vacuum", "superposition01"], default="superposition01")
+    group.add_argument("--preset", choices=list(PRESETS), default="superposition01")
     group.add_argument("--state-file", default=None, help="density-matrix JSON {dim, re, im}")
     sim.add_argument("--out", required=True, help="output path (.csv quadratures, .json counts)")
     sim.add_argument("--n", type=int, default=20000, help="number of samples")

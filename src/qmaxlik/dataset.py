@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError, check_positive_int
+from .errors import ValidationError, check_int
 from .operators import _check_hermitian_psd, hermitize
 
 G_CONDITION_LIMIT = 1e12  # GOperator refuses a worse-conditioned element sum
@@ -104,7 +104,7 @@ def wavefunction_table(dim: int, x) -> np.ndarray:
 
         psi_{n+1} = sqrt(2/(n+1)) x psi_n - sqrt(n/(n+1)) psi_{n-1}
     """
-    check_positive_int(dim, "dimension")
+    check_int(dim, "dimension")
     xs = np.atleast_1d(np.asarray(x, dtype=np.float64))
     if not np.all(np.isfinite(xs)):
         raise ValidationError("quadrature values must be finite")
@@ -212,7 +212,7 @@ class QuadratureDataset(MeasurementRecord):
         counts = _checked_counts(self.counts, xs.shape[0])
         if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(thetas))):
             raise ValidationError("thetas and xs must be finite")
-        dim = check_positive_int(self.dim, "dim")
+        dim = check_int(self.dim, "dim")
         thetas.flags.writeable = xs.flags.writeable = False
         phases, index, sizes = np.unique(thetas, return_inverse=True, return_counts=True)
         big = sizes >= POOLED_BELOW

@@ -29,7 +29,7 @@ from typing import ClassVar, NamedTuple
 import numpy as np
 
 from .dataset import PROBABILITY_FLOOR, GOperator, MeasurementRecord
-from .errors import ValidationError, check_positive_int
+from .errors import ValidationError, check_int
 from .operators import hermitize, normalize
 
 CYCLE_ATOL = 1e-10
@@ -112,8 +112,7 @@ class RandomEpsilon(EpsilonStrategy):
             raise ValidationError("epsilon_max must exceed the 1e-4 lower sampling bound")
         if math.isinf(self.epsilon_max):
             raise ValidationError("epsilon_max must be finite")
-        if self.seed < 0:
-            raise ValidationError("seed must be non-negative")
+        check_int(self.seed, "seed", minimum=0)
 
     def _trials(self, dataset, g):
         rng = np.random.default_rng(self.seed)  # one stream per run, drawn only as trials are tried
@@ -146,7 +145,7 @@ class ReconstructionConfig:
     def __post_init__(self):
         if not (self.tol_residual > 0 and self.tol_element > 0 and self.tol_loglik > 0):
             raise ValidationError("stopping tolerances must be positive")
-        check_positive_int(self.max_iterations, "max_iterations")
+        check_int(self.max_iterations, "max_iterations")
 
 
 @dataclass(frozen=True)

@@ -15,10 +15,10 @@ class ConvergenceError(ValidationError):
     """An iteration that had to converge stopped without converging."""
 
 
-def check_positive_int(value, name: str) -> int:
-    """``value`` as an int; a bool, a non-integer or a value below 1 is a ``ValidationError``."""
+def check_int(value, name: str, minimum: int = 1) -> int:
+    """``value`` as an int; a bool, a non-integer or a value below ``minimum`` is a ``ValidationError``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise ValidationError(f"{name} must be at least 1")
+    if value < minimum:
+        raise ValidationError(f"{name} must be at least {minimum}")
     return int(value)

@@ -120,11 +120,7 @@ def _write_json(path, payload: dict) -> None:
 
 
 def _csv_text(header: list[str], rows) -> str:
-    buffer = StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buffer.getvalue()
+    return "".join(",".join(map(str, row)) + "\n" for row in (header, *rows))
 
 
 def _fmt(x: float) -> str:
@@ -297,7 +293,7 @@ def write_manifest(out, args, wall_seconds_total: float, extra: dict,
         "command": args.command,
         "input_path": getattr(args, "input", getattr(args, "state_file", None)),
         "output_paths": [str(out)],
-        "config": {k: v for k, v in vars(args).items() if k != "func"},
+        "config": {k: "inf" if v == math.inf else v for k, v in vars(args).items() if k != "func"},
         "seed": getattr(args, "seed", None),
         "rng_algorithm": rng_algorithm,
         "wall_seconds_total": wall_seconds_total,

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset, fock_amplitudes
-from .errors import ValidationError, check_positive_int
+from .errors import ValidationError, check_int
 from .operators import validate_density
 
 RNG_ALGORITHM = "numpy.random.PCG64"
@@ -23,6 +23,9 @@ QUAD_GRID_POINTS = 2048
 QUAD_TAIL_MARGIN = 3.0  # reach past the top Fock level's turning point: any level then has < 1e-10 of its mass beyond
 
 COMPLETENESS_ATOL = 1e-8
+
+# The named true states of `simulate --preset`: unnormalized amplitudes of the lowest Fock levels.
+PRESETS = {"vacuum": (1.0,), "superposition01": (1.0, 1.0)}
 
 
 @dataclass(frozen=True)
@@ -35,9 +38,8 @@ class SimulationSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "state", validate_density(self.state))
-        check_positive_int(self.count, "sample count")
-        if self.seed < 0:
-            raise ValidationError("seed must be non-negative")
+        check_int(self.count, "sample count")
+        check_int(self.seed, "seed", minimum=0)
 
 
 def sample_counts(spec: SimulationSpec, povm) -> Dataset:
@@ -87,7 +89,7 @@ def sample_quadratures(spec: SimulationSpec, phases, dim: int) -> tuple[np.ndarr
         raise ValidationError("need at least one phase")
     if not np.all(np.isfinite(phase_list)):
         raise ValidationError("phases must be finite")
-    check_positive_int(dim, "dimension")
+    check_int(dim, "dimension")
     if spec.state.shape[0] != dim:
         raise ValidationError("true state dimension does not match requested dim")
 
@@ -107,15 +109,13 @@ def sample_quadratures(spec: SimulationSpec, phases, dim: int) -> tuple[np.ndarr
 
 
 def preset_state(name: str, dim: int) -> np.ndarray:
-    """Named true states for the command line: 'vacuum' and 'superposition01'."""
-    if dim < 1 or (name == "superposition01" and dim < 2):
-        raise ValidationError(f"dimension {dim} is too small for preset {name!r}")
-    if name == "vacuum":
-        vec = np.zeros(dim, dtype=np.complex128)
-        vec[0] = 1.0
-    elif name == "superposition01":
-        vec = np.zeros(dim, dtype=np.complex128)
-        vec[0] = vec[1] = 1.0 / np.sqrt(2.0)
-    else:
+    """The pure state of ``PRESETS[name]``, normalized, in Fock space truncated at ``dim`` levels."""
+    if name not in PRESETS:
         raise ValidationError(f"unknown preset state {name!r}")
+    amplitudes = PRESETS[name]
+    if check_int(dim, "dimension") < len(amplitudes):
+        raise ValidationError(f"dimension {dim} is too small for preset {name!r}")
+    vec = np.zeros(dim, dtype=np.complex128)
+    vec[:len(amplitudes)] = amplitudes
+    vec /= np.linalg.norm(vec)
     return np.outer(vec, vec.conj())

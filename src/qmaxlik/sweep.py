@@ -26,7 +26,7 @@ from .engine import (
     _iterate,
     reconstruct,
 )
-from .errors import ConvergenceError, ValidationError, check_positive_int
+from .errors import ConvergenceError, ValidationError, check_int
 
 REFERENCE_TOLERANCE = 1e-10
 DEFAULT_MAX_ITERATIONS = 20000  # default iteration cap of the reference solve and of each trajectory
@@ -84,7 +84,7 @@ def sweep_iteration_counts(
         raise ValidationError("need at least one eps and one tolerance")
     if not all(x > 0 for x in eps_list + tol_list):
         raise ValidationError("eps values and tolerances must be positive")
-    check_positive_int(max_iterations, "max_iterations")
+    check_int(max_iterations, "max_iterations")
     reference = np.asarray(reference)
     if reference.shape != (dataset.dim, dataset.dim) or not np.all(np.isfinite(reference)):
         raise ValidationError(f"reference must be a finite {dataset.dim}x{dataset.dim} matrix")

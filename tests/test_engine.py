@@ -441,8 +441,9 @@ def test_config_rejects_non_integer_max_iterations(value):
 
 @pytest.mark.parametrize(
     "kwargs, message",
-    [({"epsilon_max": math.inf}, "epsilon_max must be finite"), ({"seed": -1}, "seed must be non-negative"),
-     ({"epsilon_max": 1e-4}, "epsilon_max must exceed the 1e-4 lower sampling bound")],
+    [({"epsilon_max": math.inf}, "epsilon_max must be finite"), ({"seed": -1}, "seed must be at least 0"),
+     ({"epsilon_max": 1e-4}, "epsilon_max must exceed the 1e-4 lower sampling bound"),
+     ({"seed": 1.5}, "seed must be an integer, got 1.5"), ({"seed": True}, "seed must be an integer, got True")],
 )
 def test_random_epsilon_rejects(kwargs, message):
     with pytest.raises(ValidationError, match=message):

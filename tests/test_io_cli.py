@@ -319,9 +319,9 @@ class TestStrategyFlags:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["reconstruct", "{data}", "--strategy", "random", "--seed", "-1"], "seed must be non-negative"),
+            (["reconstruct", "{data}", "--strategy", "random", "--seed", "-1"], "seed must be at least 0"),
             (["reconstruct", "{data}", "--strategy", "random", "--epsilon", "inf"], "epsilon_max must be finite"),
-            (["simulate", "--n", "10", "--seed", "-1"], "seed must be non-negative"),
+            (["simulate", "--n", "10", "--seed", "-1"], "seed must be at least 0"),
             (["reconstruct", "{data}", "--strategy", "fixed"], "--strategy fixed requires --epsilon"),
             (["reconstruct", "{data}", "--strategy", "fixed", "--epsilon", "0"], "epsilon must be positive"),
             (["reconstruct", "{data}", "--strategy", "fixed", "--epsilon", "nan"], "epsilon must be positive"),
@@ -402,6 +402,7 @@ class TestCliSimulate:
             ["simulate", "--preset", "superposition01", "--n", "2000", "--phases", "12", "--seed", "7", "--out", str(out)]
         )
         assert code == 0
+        assert b"\r" not in out.read_bytes()
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "theta,x"
         assert len(lines) == 2001
@@ -487,6 +488,7 @@ class TestCliSweep:
             ]
         )
         assert code == 0
+        assert b"\r" not in out.read_bytes()
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "epsilon,tolerance,iterations,converged"
         rows = {line.split(",")[0]: line.split(",") for line in lines[1:]}
@@ -581,6 +583,14 @@ class TestCliSweep:
         assert len(list(cache.glob("reference-*.json"))) == 2  # solved again, under its own key
         assert first.stat().st_mtime_ns == stamp
 
+    def test_dim_flag_matching_the_file_shares_the_cache_entry(self, tmp_path, counterexample_json):
+        cache = tmp_path / "cache"
+        args = ["sweep", str(counterexample_json), "--epsilons", "1", "--tolerances", "1e-4",
+                "--cache-dir", str(cache), "--out", str(tmp_path / "sweep.csv")]
+        assert main(args) == 0
+        assert main(args + ["--dim", "2"]) == 0  # the file's own dim: the same reference solve
+        assert len(list(cache.glob("reference-*.json"))) == 1
+
     def test_reference_cache_reused(self, tmp_path, counterexample_json):
         out = tmp_path / "sweep.csv"
         cache = tmp_path / "cache"
@@ -609,12 +619,17 @@ _MANIFEST_KEYS = ["command", "input_path", "output_paths", "config", "seed", "rn
 _TOLERANCES = {"tol_residual": 1e-8, "tol_element": 1e-10, "tol_loglik": 1e-13}
 
 
+def _not_json(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
 class TestManifest:
     """Each command's ``<out>.manifest.json``: its keys in order and every value but the wall times."""
 
     @staticmethod
     def _read(out):
-        manifest = json.loads(out.with_name(out.name + ".manifest.json").read_text())
+        manifest = json.loads(out.with_name(out.name + ".manifest.json").read_text(),
+                              parse_constant=_not_json)  # strict JSON: no Infinity or NaN
         assert list(manifest) == _MANIFEST_KEYS
         assert manifest.pop("wall_seconds_total") >= 0
         return manifest, manifest.pop("wall_seconds_per_iteration")
@@ -632,6 +647,13 @@ class TestManifest:
                        "g_correction": False, "seed": 0},
             "seed": 0, "rng_algorithm": None, "extra": {"termination": "residual_met", "iterations": 3},
         }
+
+    def test_infinite_flags_echoed_as_inf(self, tmp_path, counterexample_json):
+        out = tmp_path / "r.json"
+        assert main(["reconstruct", str(counterexample_json), "--strategy", "fixed", "--epsilon", "inf",
+                     "--tol-residual", "1e400", "--out", str(out)]) == 0
+        manifest, _ = self._read(out)
+        assert manifest["config"]["epsilon"] == manifest["config"]["tol_residual"] == "inf"
 
     def test_reconstruct_random(self, tmp_path, counterexample_json):
         out = tmp_path / "r.json"

@@ -146,10 +146,20 @@ class TestPresets:
         with pytest.raises(ValidationError):
             preset_state("cat", 5)
 
-    @pytest.mark.parametrize("name, dim", [("superposition01", 1), ("vacuum", 0)])
-    def test_dimension_too_small_rejected(self, name, dim):
-        with pytest.raises(ValidationError, match=f"dimension {dim} is too small for preset '{name}'"):
+    @pytest.mark.parametrize(
+        "name, dim, message",
+        [pytest.param("superposition01", 1, "dimension 1 is too small for preset 'superposition01'",
+                      id="superposition01-1"),
+         pytest.param("vacuum", 0, "dimension must be at least 1", id="vacuum-0")],
+    )
+    def test_dimension_too_small_rejected(self, name, dim, message):
+        with pytest.raises(ValidationError, match=message):
             preset_state(name, dim)
+
+    @pytest.mark.parametrize("dim", [2.5, True])
+    def test_non_integer_dimension_rejected(self, dim):
+        with pytest.raises(ValidationError, match=f"dimension must be an integer, got {dim!r}"):
+            preset_state("vacuum", dim)
 
     def test_spec_validates_state(self):
         with pytest.raises(ValidationError):
@@ -164,6 +174,9 @@ class TestPresets:
         with pytest.raises(ValidationError, match=f"sample count must be an integer, got {count!r}"):
             SimulationSpec(state=np.eye(2, dtype=complex) / 2, seed=0, count=count)
 
-    def test_spec_rejects_negative_seed(self):
-        with pytest.raises(ValidationError, match="seed must be non-negative"):
-            SimulationSpec(state=np.eye(2, dtype=complex) / 2, seed=-1, count=5)
+    @pytest.mark.parametrize("seed, message", [(-1, "seed must be at least 0"),
+                                               (2.5, "seed must be an integer, got 2.5"),
+                                               (True, "seed must be an integer, got True")])
+    def test_spec_rejects_negative_seed(self, seed, message):
+        with pytest.raises(ValidationError, match=message):
+            SimulationSpec(state=np.eye(2, dtype=complex) / 2, seed=seed, count=5)
