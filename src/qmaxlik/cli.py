@@ -223,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     rec.add_argument("--tol-loglik", type=float, default=ReconstructionConfig.tol_loglik)
     rec.add_argument("--max-iters", type=int, default=ReconstructionConfig.max_iterations)
     rec.add_argument("--dim", type=int, default=None, help="truncation for quadrature CSV input")
-    rec.add_argument("--g-correction", action="store_true", help="debias incomplete POVMs")
+    rec.add_argument("--g-correction", action="store_true", help="debias incomplete counted POVMs (JSON input only)")
     rec.add_argument("--seed", type=int, default=0, help="seed for the random strategy")
     rec.set_defaults(func=cmd_reconstruct)
 

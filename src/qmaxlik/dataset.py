@@ -33,7 +33,11 @@ def _checked_counts(counts, n_outcomes: int) -> np.ndarray:
 
 
 class MeasurementRecord:
-    """Outcomes with counts, kept as read-only copies; each record also gives dim, elements, traces and weighted_sum."""
+    """The contract every record keeps: ``dim``, ``n_outcomes``, ``total`` and ``counts``, the non-negative count
+    of each outcome; read-only copies of the arrays it is given, with outcome k = input k; ``elements``, the dense
+    (n_outcomes, dim, dim) stack, for tests and tools only; ``traces``, ``weighted_sum``, ``element_sum`` and
+    ``likelihood_terms``, each returning new arrays on every call; and ``nbytes``.
+    """
 
     counts: np.ndarray
 
@@ -45,6 +49,12 @@ class MeasurementRecord:
     def total(self) -> float:
         """Total number of measurements (sum of counts), summed on first read."""
         return float(self.counts.sum())
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of every array the record holds, lists of arrays included, summed on every read."""
+        held = [a for value in vars(self).values() for a in (value if isinstance(value, list) else [value])]
+        return sum(a.nbytes for a in held if isinstance(a, np.ndarray))
 
     def likelihood_terms(self, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """tr(Pi_k rho), those raised to PROBABILITY_FLOOR and sum_k f_k / (N probs_k) Pi_k, in new arrays."""
@@ -64,7 +74,6 @@ class Dataset(MeasurementRecord):
     ----------
     elements : (n_outcomes, dim, dim) complex128 array; each slice is a PSD
         Hermitian measurement element.
-    counts : (n_outcomes,) float array of non-negative occurrence counts.
     """
 
     elements: np.ndarray
@@ -191,7 +200,6 @@ class QuadratureDataset(MeasurementRecord):
     ----------
     thetas : (m,) float array, the local-oscillator phase of each sample.
     xs : (m,) float array, the quadrature value of each sample.
-    counts : (m,) float array of non-negative occurrence counts.
     dim : the Fock-space truncation d.
     """
 

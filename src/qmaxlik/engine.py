@@ -14,8 +14,8 @@ trades speed for a guaranteed likelihood increase at small eps and recovers
 the quadratic update as eps -> infinity. Several strategies for picking eps
 per step are provided; all of them report the exact log-likelihood trace.
 
-For datasets whose elements do not sum to the identity, the update is debiased
-with G = sum_j Pi_j by blending G^-1 R instead of R; the corresponding
+For counted records whose elements do not sum to the identity, the update is
+debiased with G = sum_j Pi_j by blending G^-1 R instead of R; the corresponding
 objective is the likelihood renormalized by tr(G rho).
 """
 
@@ -28,7 +28,7 @@ from typing import ClassVar, NamedTuple
 
 import numpy as np
 
-from .dataset import PROBABILITY_FLOOR, GOperator, MeasurementRecord
+from .dataset import PROBABILITY_FLOOR, GOperator, MeasurementRecord, QuadratureDataset
 from .errors import ValidationError, check_int
 from .operators import hermitize, normalize
 
@@ -143,8 +143,8 @@ class ReconstructionConfig:
     g_correction: bool = False
 
     def __post_init__(self):
-        if not (self.tol_residual > 0 and self.tol_element > 0 and self.tol_loglik > 0):
-            raise ValidationError("stopping tolerances must be positive")
+        if not all(0 < tol < math.inf for tol in (self.tol_residual, self.tol_element, self.tol_loglik)):
+            raise ValidationError("stopping tolerances must be positive and finite")
         check_int(self.max_iterations, "max_iterations")
 
 
@@ -254,10 +254,10 @@ class _GainProfile:
     every outcome trace q_j(t) and the normalizer gamma(t) (the trace, or
     tr(G .) with G-correction). F(t) = sum_j f_j log q_j(t) - N log gamma(t)
     has derivatives rational in the stored coefficients, which need no log.
-    c = 1/sqrt(tr(B rho B^dag)) makes the trace 1 at t = 0 and at t = 1. With
-    c = 1 the coefficients cancel at t = 1 when B is far from the identity in
-    scale, as G^-1 R ~ 1/tr(G rho) is on homodyne records: the trace there can
-    be 1e-6 of its terms, and traces read off the profile lose digits.
+    c = 1/sqrt(tr(B rho B^dag)) makes the trace 1 at t = 0 and at t = 1. Records
+    whose G^-1 R is small in scale, such as counted records with many complete
+    settings, need it: with c = 1 the coefficients cancel at t = 1, where the
+    trace is far below its terms, and traces read off the profile lose digits.
     """
 
     def __init__(self, state: _Step, dataset: MeasurementRecord, g: GOperator | None):
@@ -416,6 +416,8 @@ def reconstruct(
     tol_element, objective change below tol_loglik, a detected period-two
     cycle, or the iteration cap.
     """
+    if config.g_correction and isinstance(dataset, QuadratureDataset):
+        raise ValidationError("G-correction is for counted records: a homodyne record is already normalized")
     g = GOperator.from_dataset(dataset) if config.g_correction else None
     loglik_trace: list[float] = []
     eps_trace: list[float] = []

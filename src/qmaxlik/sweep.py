@@ -5,9 +5,9 @@ element tolerance), then rerun the diluted iteration from scratch for each eps
 and count steps until every matrix element is within the requested tolerance
 of the reference. Each trajectory is the loop ``reconstruct`` runs under
 ``FixedEpsilon(eps)`` (no G-correction), eps = inf giving the plain quadratic
-update. Every eps and tolerance must be positive; NaN is rejected, as is a
-reference that is not a finite dim x dim matrix. A reference solve that hits
-the iteration cap or cycles raises ``ConvergenceError``.
+update. Every eps must be positive, every tolerance positive and finite, and
+the reference a finite dim x dim matrix; NaN is rejected. A reference solve that
+hits the iteration cap or cycles raises ``ConvergenceError``.
 """
 
 from __future__ import annotations
@@ -82,8 +82,8 @@ def sweep_iteration_counts(
     tol_list = sorted({float(t) for t in tolerances})
     if not eps_list or not tol_list:
         raise ValidationError("need at least one eps and one tolerance")
-    if not all(x > 0 for x in eps_list + tol_list):
-        raise ValidationError("eps values and tolerances must be positive")
+    if not all(x > 0 for x in eps_list + tol_list) or np.isinf(tol_list[-1]):
+        raise ValidationError("eps values and tolerances must be positive, and tolerances finite")
     check_int(max_iterations, "max_iterations")
     reference = np.asarray(reference)
     if reference.shape != (dataset.dim, dataset.dim) or not np.all(np.isfinite(reference)):

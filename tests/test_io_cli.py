@@ -251,7 +251,8 @@ class TestCliReconstruct:
     @pytest.mark.parametrize("flag", ["--tol-residual", "--tol-element", "--tol-loglik"])
     def test_nan_tolerance_exit_three(self, tmp_path, counterexample_json, flag):
         out = tmp_path / "o.json"
-        assert main(["reconstruct", str(counterexample_json), flag, "nan", "--out", str(out)]) == 3
+        for value in ("nan", "inf"):
+            assert main(["reconstruct", str(counterexample_json), flag, value, "--out", str(out)]) == 3
         assert not out.exists()
 
     def test_byte_identical_reruns(self, tmp_path, counterexample_json):
@@ -330,11 +331,14 @@ class TestStrategyFlags:
             (["reconstruct", "{data}", "--strategy", "rhor", "--epsilon", "1"], "--strategy rhor takes no --epsilon"),
             (["reconstruct", "{data}", "--strategy", "linesearch", "--epsilon", "1"],
              "--strategy linesearch takes no --epsilon"),
+            (["reconstruct", "{csv}", "--dim", "2", "--g-correction"],
+             "G-correction is for counted records: a homodyne record is already normalized"),
         ],
     )
     def test_exit_three_with_one_line(self, tmp_path, capsys, counterexample_json, argv, message):
-        out = tmp_path / "out.json"
-        assert main([arg.format(data=counterexample_json) for arg in argv] + ["--out", str(out)]) == 3
+        out, csv = tmp_path / "out.json", tmp_path / "q.csv"
+        qio.write_quadrature_csv(csv, np.zeros(3), np.array([0.0, 0.5, 1.0]))
+        assert main([arg.format(data=counterexample_json, csv=csv) for arg in argv] + ["--out", str(out)]) == 3
         assert capsys.readouterr().err == f"validation error: {message}\n"
         assert not out.exists()
 
@@ -651,9 +655,9 @@ class TestManifest:
     def test_infinite_flags_echoed_as_inf(self, tmp_path, counterexample_json):
         out = tmp_path / "r.json"
         assert main(["reconstruct", str(counterexample_json), "--strategy", "fixed", "--epsilon", "inf",
-                     "--tol-residual", "1e400", "--out", str(out)]) == 0
+                     "--out", str(out)]) == 4
         manifest, _ = self._read(out)
-        assert manifest["config"]["epsilon"] == manifest["config"]["tol_residual"] == "inf"
+        assert manifest["config"]["epsilon"] == "inf"
 
     def test_reconstruct_random(self, tmp_path, counterexample_json):
         out = tmp_path / "r.json"

@@ -133,10 +133,6 @@ class TestQuadratureDataset:
         assert d.total == 3.0
         assert np.all(d.counts == 1.0)
 
-    def test_elements_match_single_projector(self):
-        d = quadrature_dataset([0.4], [1.2], 6)
-        np.testing.assert_allclose(d.elements[0], quadrature_projector(0.4, 1.2, 6), atol=1e-14)
-
     def test_merging_duplicates_preserves_r_and_probabilities(self):
         rng = np.random.default_rng(2)
         s = (0.3, 0.9)
