@@ -10,8 +10,10 @@ from qmaxlik import (
     SimulationSpec,
     ValidationError,
     counterexample_dataset,
+    outcome_probabilities,
     preset_state,
     quadrature_dataset,
+    quadrature_projector,
     r_operator,
     reconstruct,
     sample_quadratures,
@@ -117,12 +119,73 @@ class TestGOperator:
             GOperator.from_dataset(d)
 
 
+def _dense(record):
+    """The same record as an explicit element stack, one projector per sample."""
+    stack = [quadrature_projector(t, x, record.dim) for t, x in zip(record.thetas, record.xs)]
+    return Dataset(elements=np.stack(stack), counts=record.counts)
+
+
 class TestQuadratureDataset:
-    def test_layouts_reach_the_grouped_and_pooled_blocks(self):
-        blocks = {"few": (True, False), "distinct": (False, True), "mix": (True, True), "single": (False, True)}
-        for layout, thetas in phase_layouts(np.random.default_rng(11)).items():  # the record contract's phases
-            record = QuadratureDataset(thetas=thetas, xs=np.zeros(len(thetas)), counts=np.ones(len(thetas)), dim=2)
-            assert (len(record._blocks) > 0, len(record._chi) > 0) == blocks[layout]
+    def test_owns_its_arrays(self):
+        thetas, xs, counts = np.zeros(3), np.array([0.0, 0.5, 1.0]), np.ones(3)
+        record = QuadratureDataset(thetas=thetas, xs=xs, counts=counts, dim=2)
+        thetas[0], xs[0], counts[0] = 1.0, 9.0, 1e9
+        np.testing.assert_array_equal(record.thetas, np.zeros(3))
+        np.testing.assert_array_equal(record.xs, [0.0, 0.5, 1.0])
+        assert record.total == 3.0
+        for stored in (record.thetas, record.xs, record.counts):
+            with pytest.raises(ValueError, match="read-only"):
+                stored[0] = 0.0
+
+    @pytest.mark.parametrize("layout", ["few", "distinct", "mix", "single"])
+    def test_kernels_match_element_stack(self, layout):
+        rng = np.random.default_rng(11)
+        thetas = phase_layouts(rng)[layout]
+        for dim in (1, 5, 15, 30):
+            record = quadrature_record(rng, thetas, dim)
+            dense = _dense(record)
+            grouped, pooled = len(record._blocks) > 0, len(record._chi) > 0
+            assert (grouped, pooled) == {"few": (True, False), "distinct": (False, True),
+                                         "mix": (True, True), "single": (False, True)}[layout]
+            rho = random_density(rng, dim)
+            weights = rng.uniform(0.0, 2.0, size=record.n_outcomes)
+            assert np.max(np.abs(record.traces(rho) - dense.traces(rho))) <= 1e-12
+            assert np.max(np.abs(record.weighted_sum(weights) - dense.weighted_sum(weights))) <= 1e-12
+            assert np.max(np.abs(record.element_sum() - dense.element_sum())) <= 1e-12
+            assert np.max(np.abs(r_operator(rho, record) - r_operator(rho, dense))) <= 1e-12
+            assert np.max(np.abs(record.elements - dense.elements)) <= 1e-12
+            if layout == "single" and dim > 1:  # one rank-1 element: G cannot be inverted
+                with pytest.raises(ValidationError, match="singular"):
+                    GOperator.from_dataset(record)
+            else:
+                g, g_dense = GOperator.from_dataset(record), GOperator.from_dataset(dense)
+                assert np.max(np.abs(g.matrix - g_dense.matrix)) <= 1e-12
+                assert np.max(np.abs(g.inverse - g_dense.inverse)) <= 1e-12 * g.condition
+
+    def test_outcome_order_follows_input(self):
+        rng = np.random.default_rng(12)
+        thetas = phase_layouts(rng)["mix"]
+        xs = rng.normal(size=thetas.size)
+        rho = random_density(rng, 4)
+        d = quadrature_dataset(thetas, xs, 4)
+        expected = [(quadrature_projector(t, x, 4) @ rho).trace().real for t, x in zip(thetas, xs)]
+        np.testing.assert_allclose(outcome_probabilities(rho, d), expected, rtol=0, atol=1e-13)
+        perm = rng.permutation(len(xs))
+        shuffled = quadrature_dataset(thetas[perm], xs[perm], 4)
+        np.testing.assert_allclose(outcome_probabilities(rho, shuffled), np.asarray(expected)[perm],
+                                   rtol=0, atol=1e-13)
+        np.testing.assert_allclose(shuffled.elements[3], quadrature_projector(thetas[perm[3]], xs[perm[3]], 4),
+                                   atol=1e-14)
+
+    @pytest.mark.parametrize("layout", ["few", "distinct", "mix", "single"])
+    def test_memory_is_linear_in_samples(self, layout):
+        rng = np.random.default_rng(13)
+        record = quadrature_record(rng, phase_layouts(rng)[layout], 15)
+        m, d = record.n_outcomes, record.dim
+        arrays = []
+        for value in vars(record).values():
+            arrays += value if isinstance(value, list) else [value]
+        assert all(a.size < m * d * d for a in arrays if isinstance(a, np.ndarray))
 
     def test_rejects_inconsistent_phases(self):
         with pytest.raises(ValidationError, match="does not match"):
