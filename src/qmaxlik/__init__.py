@@ -9,6 +9,7 @@ data generation, convergence sweeps, and a command-line front end.
 
 from .dataset import Dataset, GOperator, QuadratureDataset
 from .engine import (
+    CONVERGED,
     AdaptiveBackoff,
     EpsilonStrategy,
     FixedEpsilon,
@@ -39,6 +40,7 @@ from .sweep import SweepRow, reference_solution, sweep_iteration_counts
 __version__ = "0.1.0"
 
 __all__ = [
+    "CONVERGED",
     "AdaptiveBackoff",
     "ConvergenceError",
     "DataFormatError",

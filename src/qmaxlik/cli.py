@@ -19,12 +19,12 @@ import numpy as np
 
 from . import io
 from .engine import (
+    CONVERGED,
     AdaptiveBackoff,
     FixedEpsilon,
     LineSearchEpsilon,
     RandomEpsilon,
     ReconstructionConfig,
-    Termination,
     reconstruct,
 )
 from .errors import ConvergenceError, DataFormatError, ValidationError, check_int
@@ -38,39 +38,27 @@ EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_NO_CONVERGENCE = 4
 
-CONVERGED = (Termination.RESIDUAL_MET, Termination.ELEMENT_CHANGE_MET)
 # Part of the sweep's cache key: the package's sources and the numpy version that solve a reference.
 SOLVER_DIGEST = hashlib.sha256(b"".join(path.read_bytes() for path in sorted(Path(__file__).parent.glob("*.py")))
                                + np.__version__.encode()).hexdigest()
 
 
-def _fixed_epsilon(args) -> FixedEpsilon:
-    if args.epsilon is None:
-        raise ValidationError("--strategy fixed requires --epsilon")
-    return FixedEpsilon(epsilon=args.epsilon)
-
-
-def _without_epsilon(strategy):
-    """The builder of a strategy that reads no --epsilon: one given is refused, not ignored."""
-    def build(args):
-        if args.epsilon is not None:
-            raise ValidationError(f"--strategy {args.strategy} takes no --epsilon")
-        return strategy
-    return build
-
-
 # The --strategy choices, each with the step-size strategy it builds from the parsed flags.
 STRATEGIES = {
-    "rhor": _without_epsilon(FixedEpsilon(math.inf)),
-    "fixed": _fixed_epsilon,
-    "adaptive": _without_epsilon(AdaptiveBackoff()),
-    "linesearch": _without_epsilon(LineSearchEpsilon()),
+    "rhor": lambda args: FixedEpsilon(math.inf),
+    "fixed": lambda args: FixedEpsilon(epsilon=args.epsilon),
+    "adaptive": lambda args: AdaptiveBackoff(),
+    "linesearch": lambda args: LineSearchEpsilon(),
     "random": lambda args: RandomEpsilon(seed=args.seed,
                                          **({} if args.epsilon is None else {"epsilon_max": args.epsilon})),
 }
 
 
 def _build_config(args) -> ReconstructionConfig:
+    if args.strategy == "fixed" and args.epsilon is None:
+        raise ValidationError("--strategy fixed requires --epsilon")
+    if args.strategy not in ("fixed", "random") and args.epsilon is not None:
+        raise ValidationError(f"--strategy {args.strategy} takes no --epsilon")
     return ReconstructionConfig(
         strategy=STRATEGIES[args.strategy](args),
         tol_residual=args.tol_residual,
@@ -96,13 +84,12 @@ def cmd_reconstruct(args) -> int:
                       rng_algorithm=RNG_ALGORITHM if args.strategy == "random" else None,
                       wall_seconds_per_iteration=elapsed / result.iterations if result.iterations else None)
 
-    converged = result.termination in CONVERGED
     print(
         f"{result.termination.value}: {result.iterations} iterations, "
         f"residual {result.final_residual:.3e}, "
         f"log-likelihood {result.log_likelihood_trace[-1]:.12g}"
     )
-    return EXIT_OK if converged else EXIT_NO_CONVERGENCE
+    return EXIT_OK if result.termination in CONVERGED else EXIT_NO_CONVERGENCE
 
 
 def _parse_float_list(text: str, allow_inf: bool) -> list[float]:
@@ -172,17 +159,25 @@ def cmd_sweep(args) -> int:
     io.write_manifest(out, args, elapsed, {"rows": len(rows), "reference_cache": str(cache_file)})
 
     for row in rows:
-        eps = "inf" if math.isinf(row.epsilon) else f"{row.epsilon:g}"
-        print(f"eps={eps} tol={row.tolerance:g}: {row.iterations} iterations, converged={row.converged}")
+        print(f"eps={row.epsilon:g} tol={row.tolerance:g}: {row.iterations} iterations, converged={row.converged}")
     return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
-    state = io.parse_state(args.state_file) if args.state_file else preset_state(args.preset, args.dim)
+    if args.state_file:
+        state = io.parse_state(args.state_file)
+        if args.dim is not None:
+            raise ValidationError("--state-file takes no --dim")
+        args.preset = None  # a flag the run does not read is echoed as null, one it reads with its default
+    else:
+        args.dim = 15 if args.dim is None else args.dim
+        state = preset_state(args.preset, args.dim)
     dim = state.shape[0]
     spec = SimulationSpec(state=state, seed=args.seed, count=args.n)
     if args.format == "quadrature":
-        check_int(args.phases, "--phases")
+        args.phases = 12 if args.phases is None else check_int(args.phases, "--phases")
+    elif args.phases is not None:
+        raise ValidationError("--format counts takes no --phases")
     out = io.writable_path(args.out)
     suffix = {"quadrature": ".csv", "counts": ".json"}[args.format]
     if out.suffix.lower() != suffix:  # reconstruct reads a dataset by its extension
@@ -244,8 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--out", required=True, help="output path (.csv quadratures, .json counts)")
     sim.add_argument("--n", type=int, default=20000, help="number of samples")
     sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--phases", type=int, default=12, help="number of equally spaced phases in [0, pi)")
-    sim.add_argument("--dim", type=int, default=15, help="Fock truncation of the preset state")
+    sim.add_argument("--phases", type=int, default=None, help="equally spaced phases in [0, pi) (default 12)")
+    sim.add_argument("--dim", type=int, default=None, help="Fock truncation of the preset state (default 15)")
     sim.add_argument("--format", choices=["quadrature", "counts"], default="quadrature")
     sim.set_defaults(func=cmd_simulate)
 

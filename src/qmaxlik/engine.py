@@ -133,6 +133,9 @@ class Termination(enum.Enum):
     CYCLE_DETECTED = "cycle_detected"
 
 
+CONVERGED = (Termination.RESIDUAL_MET, Termination.ELEMENT_CHANGE_MET)  # the stops on which the CLI exits 0
+
+
 @dataclass(frozen=True)
 class ReconstructionConfig:
     strategy: EpsilonStrategy = field(default_factory=AdaptiveBackoff)

@@ -276,8 +276,7 @@ def parse_result_estimate(path) -> np.ndarray:
 
 
 def write_sweep_csv(path, rows: list[SweepRow]) -> None:
-    lines = (["inf" if math.isinf(row.epsilon) else _fmt(row.epsilon), _fmt(row.tolerance), row.iterations,
-              str(row.converged).lower()] for row in rows)
+    lines = ([_fmt(row.epsilon), _fmt(row.tolerance), row.iterations, str(row.converged).lower()] for row in rows)
     _write_atomic(path, _csv_text(["epsilon", "tolerance", "iterations", "converged"], lines))
 
 

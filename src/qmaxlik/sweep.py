@@ -18,6 +18,7 @@ import numpy as np
 
 from .dataset import MeasurementRecord
 from .engine import (
+    CONVERGED,
     FixedEpsilon,
     LineSearchEpsilon,
     ReconstructionConfig,
@@ -54,7 +55,7 @@ def reference_solution(dataset: MeasurementRecord,
         max_iterations=max_iterations,
     )
     result = reconstruct(dataset, config)
-    if result.termination in (Termination.MAX_ITERATIONS, Termination.CYCLE_DETECTED):
+    if result.termination not in (*CONVERGED, Termination.LIKELIHOOD_STALLED):
         raise ConvergenceError(
             f"reference solve did not converge ({result.termination.value}, "
             f"residual {result.final_residual:.3e})"

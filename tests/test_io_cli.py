@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qmaxlik import DataFormatError, counterexample_dataset, fidelity, preset_state
-from qmaxlik import cli
+from qmaxlik import cli, engine
 from qmaxlik import io as qio
 from qmaxlik.cli import main
 from support import random_dataset
@@ -262,6 +262,9 @@ class TestCliReconstruct:
         assert main(args + ["--out", str(out2)]) in (0, 4)
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_exit_code_reads_the_engine_converged_set(self):
+        assert cli.CONVERGED is engine.CONVERGED
+
 
 class TestUnwritableOutput:
     """An output that cannot be written is one line naming it and the reason: exit 3, no temporary file left."""
@@ -333,12 +336,17 @@ class TestStrategyFlags:
              "--strategy linesearch takes no --epsilon"),
             (["reconstruct", "{csv}", "--dim", "2", "--g-correction"],
              "G-correction is for counted records: a homodyne record is already normalized"),
+            (["simulate", "--state-file", "{state}", "--dim", "9", "--format", "counts"],
+             "--state-file takes no --dim"),
+            (["simulate", "--format", "counts", "--phases", "7", "--dim", "3"], "--format counts takes no --phases"),
         ],
     )
     def test_exit_three_with_one_line(self, tmp_path, capsys, counterexample_json, argv, message):
-        out, csv = tmp_path / "out.json", tmp_path / "q.csv"
+        out, csv, state = tmp_path / "out.json", tmp_path / "q.csv", tmp_path / "s.json"
         qio.write_quadrature_csv(csv, np.zeros(3), np.array([0.0, 0.5, 1.0]))
-        assert main([arg.format(data=counterexample_json, csv=csv) for arg in argv] + ["--out", str(out)]) == 3
+        qio.write_state(state, preset_state("vacuum", 2))
+        argv = [arg.format(data=counterexample_json, csv=csv, state=state) for arg in argv]
+        assert main(argv + ["--out", str(out)]) == 3
         assert capsys.readouterr().err == f"validation error: {message}\n"
         assert not out.exists()
 
@@ -617,6 +625,14 @@ class TestCliSweep:
         assert main(args) == 0
         assert cached[0].stat().st_mtime_ns == stamp  # untouched on the second run
 
+    def test_printed_rows_write_inf_as_the_csv_does(self, tmp_path, capsys, counterexample_json):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", str(counterexample_json), "--epsilons", "1,inf", "--tolerances", "1e-3",
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ("eps=1 tol=0.001: 2 iterations, converged=True\n"
+                                           "eps=inf tol=0.001: 2 iterations, converged=False\n")
+        assert out.read_text().splitlines()[1:] == ["1,0.001,2,true", "inf,0.001,2,false"]
+
 
 _MANIFEST_KEYS = ["command", "input_path", "output_paths", "config", "seed", "rng_algorithm",
                   "wall_seconds_total", "wall_seconds_per_iteration", "extra"]
@@ -708,8 +724,8 @@ class TestManifest:
         assert per_iteration is None
         assert manifest == {
             "command": "simulate", "input_path": str(state), "output_paths": [str(out)],
-            "config": {"command": "simulate", "preset": "superposition01", "state_file": str(state),
-                       "out": str(out), "n": 5, "seed": 3, "phases": 2, "dim": 15, "format": "quadrature"},
+            "config": {"command": "simulate", "preset": None, "state_file": str(state),
+                       "out": str(out), "n": 5, "seed": 3, "phases": 2, "dim": None, "format": "quadrature"},
             "seed": 3, "rng_algorithm": "numpy.random.PCG64",
             "extra": {"phases": [0.0, np.pi / 2], "samples": 5},
         }
@@ -722,7 +738,7 @@ class TestManifest:
         assert manifest == {
             "command": "simulate", "input_path": None, "output_paths": [str(out)],
             "config": {"command": "simulate", "preset": "superposition01", "state_file": None, "out": str(out),
-                       "n": 10, "seed": 0, "phases": 12, "dim": 2, "format": "counts"},
+                       "n": 10, "seed": 0, "phases": None, "dim": 2, "format": "counts"},
             "seed": 0, "rng_algorithm": "numpy.random.PCG64",
             "extra": {"povm": "computational basis projectors, dim 2", "outcomes": 2},
         }
@@ -821,7 +837,8 @@ def test_cli_flag_fuzz(tmp_path_factory, command, lists, tolerances, dim, counts
     else:
         if out_kind != "directory" and not extensionless:
             out = out.with_name(out.name + {"quadrature": ".csv", "counts": ".json"}[fmt])
-        argv = [command, "--out", str(out), f"--n={n}", f"--phases={phases}", f"--format={fmt}", f"--seed={seed}"]
+        argv = [command, "--out", str(out), f"--n={n}", f"--format={fmt}", f"--seed={seed}"]
+        argv += [f"--phases={phases}"] if fmt == "quadrature" else []  # counts runs read no --phases
         if payload is not None:
             argv.append(f"--state-file={data}")
     if dim is not None:
@@ -838,6 +855,8 @@ def test_cli_flag_fuzz(tmp_path_factory, command, lists, tolerances, dim, counts
         assert code in (2, 3)  # a bad flag, never a failed solve
     if command == "simulate" and (n < 1 or (fmt == "quadrature" and phases < 1) or seed < 0):
         assert code in (2, 3)
+    if command == "simulate" and payload is not None and dim is not None:
+        assert code in (2, 3)  # a state file gives its own dim
     if command == "reconstruct" and strategy == "random" and seed < 0:
         assert code in (2, 3)
     if command == "reconstruct" and strategy not in ("fixed", "random") and epsilon is not None:

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from qmaxlik import (
+    CONVERGED,
+    ConvergenceError,
+    ReconstructionResult,
     Termination,
     ValidationError,
     counterexample_dataset,
@@ -29,6 +32,19 @@ class TestReferenceSolution:
         # (the counterexample's converges within 2)
         with pytest.raises(ValidationError, match="reference"):
             reference_solution(random_dataset(np.random.default_rng(3), dim=3, n_outcomes=10), max_iterations=2)
+
+    @pytest.mark.parametrize("termination", list(Termination), ids=lambda t: t.value)
+    def test_accepts_exactly_the_converged_stops_and_a_stall(self, monkeypatch, termination):
+        accepted = {Termination.RESIDUAL_MET, Termination.ELEMENT_CHANGE_MET, Termination.LIKELIHOOD_STALLED}
+        assert {*CONVERGED, Termination.LIKELIHOOD_STALLED} == accepted
+        result = ReconstructionResult(estimate=MLE, log_likelihood_trace=np.zeros(2), epsilon_trace=np.ones(1),
+                                      final_residual=0.0, iterations=1, termination=termination)
+        monkeypatch.setattr(sweep, "reconstruct", lambda dataset, config: result)
+        if termination in accepted:
+            assert reference_solution(counterexample_dataset()) is result
+        else:
+            with pytest.raises(ConvergenceError, match=f"reference solve did not converge \\({termination.value}"):
+                reference_solution(counterexample_dataset())
 
 
 class TestIterationCounts:
