@@ -69,6 +69,11 @@ def _build_config(args) -> ReconstructionConfig:
     )
 
 
+def _stop(result) -> dict:
+    """How a solve stopped, as a manifest records it (``io.parse_result`` reads it back from a result file)."""
+    return {"termination": result.termination.value, "iterations": result.iterations}
+
+
 def cmd_reconstruct(args) -> int:
     dataset = io.parse_dataset(args.input, dim=args.dim)
     config = _build_config(args)
@@ -79,8 +84,7 @@ def cmd_reconstruct(args) -> int:
     elapsed = time.perf_counter() - start
 
     io.write_result_json(out, result)
-    io.write_manifest(out, args, elapsed,
-                      {"termination": result.termination.value, "iterations": result.iterations},
+    io.write_manifest(out, args, elapsed, _stop(result),
                       rng_algorithm=RNG_ALGORITHM if args.strategy == "random" else None,
                       wall_seconds_per_iteration=elapsed / result.iterations if result.iterations else None)
 
@@ -114,7 +118,7 @@ def _parse_float_list(text: str, allow_inf: bool) -> list[float]:
 
 
 def _cached_reference(dataset_path: Path, dataset, max_iters: int, cache_dir: Path):
-    """The cached reference solution for this input and solve, if any, and its cache file.
+    """The cached reference solution for this input and solve, if any, with its stop, and its cache file.
 
     An entry that is not a density matrix of the dataset's dimension is a miss.
     """
@@ -123,12 +127,12 @@ def _cached_reference(dataset_path: Path, dataset, max_iters: int, cache_dir: Pa
     cache_file = cache_dir / f"reference-{digest[:24]}.json"
     if cache_file.exists():
         try:
-            estimate = io.parse_result_estimate(cache_file)
+            estimate, stop = io.parse_result(cache_file)
             if estimate.shape == (dataset.dim, dataset.dim):
-                return validate_density(estimate), cache_file
+                return validate_density(estimate), stop, cache_file
         except (DataFormatError, ValidationError):
             pass  # a damaged entry is a miss; the fresh solve overwrites it
-    return None, cache_file
+    return None, None, cache_file
 
 
 def cmd_sweep(args) -> int:
@@ -140,14 +144,14 @@ def cmd_sweep(args) -> int:
     cache_dir = io.writable_directory(args.cache_dir or out.parent / ".sweep-cache")
 
     start = time.perf_counter()
-    reference, cache_file = _cached_reference(dataset_path, dataset, args.max_iters, cache_dir)
+    reference, stop, cache_file = _cached_reference(dataset_path, dataset, args.max_iters, cache_dir)
     if reference is None:
         try:
             ref_result = reference_solution(dataset, max_iterations=args.max_iters)
         except ConvergenceError as exc:
             print(f"sweep aborted: {exc}", file=sys.stderr)
             return EXIT_NO_CONVERGENCE
-        reference = ref_result.estimate
+        reference, stop = ref_result.estimate, _stop(ref_result)
         cache_dir.mkdir(parents=True, exist_ok=True)  # only now: a rejected flag leaves no directory
         io.write_result_json(cache_file, ref_result)
     rows = sweep_iteration_counts(
@@ -156,7 +160,7 @@ def cmd_sweep(args) -> int:
     elapsed = time.perf_counter() - start
 
     io.write_sweep_csv(out, rows)
-    io.write_manifest(out, args, elapsed, {"rows": len(rows), "reference_cache": str(cache_file)})
+    io.write_manifest(out, args, elapsed, {"rows": len(rows), "reference_cache": str(cache_file), "reference": stop})
 
     for row in rows:
         print(f"eps={row.epsilon:g} tol={row.tolerance:g}: {row.iterations} iterations, converged={row.converged}")

@@ -264,10 +264,7 @@ class _GainProfile:
     """
 
     def __init__(self, state: _Step, dataset: MeasurementRecord, g: GOperator | None):
-        scale = np.vdot(state.b, state.b @ state.rho).real
-        if not scale > 0.0:  # B rho B^dag = 0: rho gives every counted outcome probability 0
-            raise ValidationError(f"no line search from this state: tr(B rho B^dag) = {scale:.3e} is not positive")
-        self.c = 1.0 / math.sqrt(scale)
+        self.c = _profile_scale(state)
         d = self.c * state.b - np.eye(dataset.dim)
         dr = d @ state.rho
         t1, t2 = dr + dr.conj().T, dr @ d.conj().T
@@ -299,22 +296,51 @@ class _GainProfile:
         return _candidate(eps, rho, (traces, np.maximum(traces, PROBABILITY_FLOOR), None), self._dataset, self._g)
 
 
+def _profile_scale(state: _Step) -> float:
+    """c = 1/sqrt(tr(B rho B^dag)); a state the direction annihilates is refused."""
+    scale = np.vdot(state.b, state.b @ state.rho).real
+    if not scale > 0.0:  # B rho B^dag = 0: rho gives every counted outcome probability 0
+        raise ValidationError(f"no line search from this state: tr(B rho B^dag) = {scale:.3e} is not positive")
+    return 1.0 / math.sqrt(scale)
+
+
+def _quadratic_slope(state: _Step, quadratic: tuple, c: float, dataset: MeasurementRecord,
+                     g: GOperator | None) -> float:
+    """F'(1) of the gain profile from the quadratic step rho1 and its own R1, with d x d products only.
+
+    At t = 1 the profile's candidate is rho1 (c makes its trace 1) and its derivative is c Q, with
+    Q = 2c B rho B^dag - (B rho + rho B^dag), so F'(1) = N c (tr(R1 Q) - tr(G Q)/tr(G rho1)), or tr(Q) without G.
+    """
+    br = state.b @ state.rho
+    q = 2.0 * c * (br @ state.b.conj().T) - (br + br.conj().T)
+    _, rho1, _, _, r1, _ = quadratic
+    normalizer = q.trace().real if g is None else np.vdot(g.matrix, q).real / np.vdot(g.matrix, rho1).real
+    return dataset.total * c * (np.vdot(r1, q).real - normalizer)
+
+
 def choose_epsilon_line_search(
     rho, dataset: MeasurementRecord, g: GOperator | None = None, *, state: _Step | None = None
 ) -> tuple[tuple, float]:
     """The step maximizing the actual likelihood gain, as a ``_candidate`` tuple (eps first), and that gain.
 
     The search maximizes the exact gain profile F (see ``_GainProfile``) over
-    t in [0, 1]. It takes t = 1, the quadratic step, where F still rises;
-    otherwise Newton steps on F' run inside a bracket with F'(lo) >= 0 >
-    F'(hi), and a step that leaves it, or where F'' >= 0, is replaced by the
-    midpoint. F need not be concave, so t is halved while the gain is
-    negative; as F rises from t = 0, the gain is never negative. The
-    reconstruction loop passes its current ``state`` (rho with its traces, R,
-    direction and objective) so they are not computed again.
+    t in [0, 1]. It first builds t = 1, the quadratic step, as ``adaptive``
+    does, at one fused ``likelihood_terms`` pass, and takes it where its gain
+    is not negative and F still rises there. Otherwise it builds the profile,
+    at two more trace kernels: Newton steps on F' run inside a bracket with
+    F'(lo) >= 0 > F'(hi), and a step that leaves it, or where F'' >= 0, is
+    replaced by the midpoint. F need not be concave, so t is halved while the
+    gain is negative; as F rises from t = 0, the gain is never negative. R is
+    then built for the maximizer only. The reconstruction loop passes its
+    current ``state`` (rho with its traces, R, direction and objective) so
+    they are not computed again.
     """
     if state is None:  # hermitized, as every iterate is, so that the candidate at t = 0 is rho bit for bit
         state = _step_at(hermitize(_check_dims(rho, dataset)), dataset, g)
+    c = _profile_scale(state)  # before the trial, which cannot normalize B rho B^dag = 0
+    quadratic = _trial(state, dataset, g, math.inf)
+    if (gain := quadratic[-1] - state.objective) >= 0.0 and _quadratic_slope(state, quadratic, c, dataset, g) > 0.0:
+        return quadratic, gain
     profile = _GainProfile(state, dataset, g)
     lo, hi, t = 0.0, 1.0, 1.0
     for _ in range(NEWTON_STEPS):

@@ -27,8 +27,8 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import Dataset, MeasurementRecord
-from .engine import ReconstructionResult
-from .errors import DataFormatError
+from .engine import ReconstructionResult, Termination
+from .errors import DataFormatError, check_int
 from .operators import validate_density
 from .povm import quadrature_dataset
 from .sweep import SweepRow
@@ -267,12 +267,19 @@ def write_result_json(path, result: ReconstructionResult) -> None:
 
 
 def parse_result_estimate(path) -> np.ndarray:
+    return parse_result(path)[0]
+
+
+def parse_result(path) -> tuple[np.ndarray, dict]:
+    """A result file's estimate, and its stop: ``{"termination", "iterations"}``."""
     payload, dim = _read_json(Path(path))
     try:
         re, im = payload["estimate"]["re"], payload["estimate"]["im"]
-    except (KeyError, TypeError) as exc:
+        stop = {"termination": Termination(payload["termination"]).value,
+                "iterations": check_int(payload["iterations"], "iterations", minimum=0)}
+    except (KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"{path}: not a result file ({exc!r})") from exc
-    return _complex(*_checked_parts(re, im, dim, str(path)))
+    return _complex(*_checked_parts(re, im, dim, str(path))), stop
 
 
 def write_sweep_csv(path, rows: list[SweepRow]) -> None:

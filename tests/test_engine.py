@@ -258,8 +258,9 @@ class TestLineSearch:
                                       tol_residual=1e-300, tol_element=1e-300, tol_loglik=1e-300)
         result = reconstruct(_counted(d, calls), config)
         assert result.iterations == 6
-        # G's element sum, the start state, then per step the two gain-profile traces and the candidate's R
-        assert calls == {"traces": 1 + 2 * 6, "weighted_sum": g_correction + 1 + 6}
+        assert np.all(np.isinf(result.epsilon_trace))
+        # G's element sum, the start state, then per quadratic step one fused pass: its traces and its R
+        assert calls == {"traces": 1 + 6, "weighted_sum": g_correction + 1 + 6}
         plain = reconstruct(d, config)
         np.testing.assert_array_equal(result.estimate, plain.estimate)
         np.testing.assert_array_equal(result.epsilon_trace, plain.epsilon_trace)
@@ -292,6 +293,36 @@ class TestLineSearch:
                 curvature = (above - 2 * at + below) / h**2
                 assert first == pytest.approx(slope, rel=1e-6, abs=1e-8 * d.total)
                 assert second == pytest.approx(curvature, rel=1e-3, abs=1e-4 * d.total)
+
+    @pytest.mark.parametrize("record", ["povm2", "povm2-g", "quadrature"])
+    def test_all_quadratic_run_is_adaptive_bit_for_bit(self, record):
+        """Where every step is quadratic, linesearch builds the same candidate as adaptive and accepts it."""
+        d, g = REGRESSION_DATASETS["povm2"], record == "povm2-g"
+        if g:
+            d = Dataset(elements=d.elements[:-1], counts=d.counts[:-1])
+        elif record == "quadrature":
+            d = quadrature_record(np.random.default_rng(21), phase_layouts(np.random.default_rng(21))["mix"], 4)
+        runs = [reconstruct(d, ReconstructionConfig(strategy=strategy, g_correction=g, max_iterations=300))
+                for strategy in (AdaptiveBackoff(), LineSearchEpsilon())]
+        assert runs[0].iterations > 20 and np.all(np.isinf(runs[0].epsilon_trace))
+        for field in ("estimate", "log_likelihood_trace", "epsilon_trace"):
+            np.testing.assert_array_equal(getattr(runs[1], field), getattr(runs[0], field))
+        assert runs[1].termination is runs[0].termination
+
+    def test_quadratic_slope_is_the_profile_slope_at_one(self):
+        """The d x d slope of the quadratic step is F'(1) read off the gain profile, with and without G."""
+        rng = np.random.default_rng(31)
+        for _ in range(40):
+            g = None
+            d = random_dataset(rng, int(rng.integers(2, 6)))
+            if rng.uniform() < 0.5:
+                d = Dataset(elements=d.elements[:-1], counts=d.counts[:-1])
+                g = GOperator.from_dataset(d)
+            state = engine._step_at(random_density(rng, d.dim), d, g)
+            profile = engine._GainProfile(state, d, g)
+            quadratic = engine._trial(state, d, g, math.inf)
+            slope = engine._quadratic_slope(state, quadratic, profile.c, d, g)
+            assert slope == pytest.approx(profile.derivatives(1.0)[0], rel=0, abs=1e-12 * d.total)
 
     def test_state_that_the_direction_annihilates_is_refused(self, qubit_record):
         # rho = |0><0| gives the only counted outcome, |1><1|, probability 0: R rho R = 0

@@ -105,7 +105,12 @@ class TestDatasetRoundTrip:
 
     @pytest.mark.parametrize("text", ["{trunc", "[]", '{"dim": 2}', '{"dim": 2, "estimate": {"re": []}}',
                                       '{"dim": 1e400, "estimate": {"re": [[1.0]], "im": [[0.0]]}}',
-                                      '{"dim": true, "estimate": {"re": [[1.0]], "im": [[0.0]]}}'])
+                                      '{"dim": true, "estimate": {"re": [[1.0]], "im": [[0.0]]}}',
+                                      '{"dim": 1, "estimate": {"re": [[1.0]], "im": [[0.0]]}}',
+                                      '{"dim": 1, "estimate": {"re": [[1.0]], "im": [[0.0]]}, '
+                                      '"termination": "done", "iterations": 1}',
+                                      '{"dim": 1, "estimate": {"re": [[1.0]], "im": [[0.0]]}, '
+                                      '"termination": "residual_met", "iterations": -1}'])
     def test_malformed_result_rejected(self, tmp_path, text):
         path = tmp_path / "result.json"
         path.write_text(text)
@@ -701,8 +706,14 @@ class TestManifest:
             "command": "sweep", "input_path": str(counterexample_json), "output_paths": [str(out)],
             "config": {"command": "sweep", "input": str(counterexample_json), "out": str(out), "epsilons": "1",
                        "tolerances": "1e-4", "max_iters": 300, "dim": None, "cache_dir": None},
-            "seed": None, "rng_algorithm": None, "extra": {"rows": 1, "reference_cache": str(cached)},
+            "seed": None, "rng_algorithm": None,
+            "extra": {"rows": 1, "reference_cache": str(cached),
+                      "reference": {"termination": "residual_met", "iterations": 1}},
         }
+        # a warm cache reports the reference's stop as read from the cache file
+        assert main(["sweep", str(counterexample_json), "--epsilons", "1", "--tolerances", "1e-4",
+                     "--max-iters", "300", "--out", str(out)]) == 0
+        assert self._read(out)[0] == manifest
 
     @pytest.mark.parametrize(
         "command, flags", [("reconstruct", []), ("sweep", ["--epsilons", "1", "--tolerances", "1e-4"])],
