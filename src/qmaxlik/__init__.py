@@ -18,6 +18,7 @@ from .engine import (
     ReconstructionConfig,
     ReconstructionResult,
     Termination,
+    certified_gap,
     choose_epsilon_line_search,
     diluted_step,
     likelihood_gain_first_order,
@@ -35,7 +36,7 @@ from .povm import (
     quadrature_projector,
 )
 from .simulate import SimulationSpec, preset_state, sample_counts, sample_quadratures
-from .sweep import SweepRow, reference_solution, sweep_iteration_counts
+from .sweep import SweepRow, check_reference, reference_solution, sweep_iteration_counts
 
 __version__ = "0.1.0"
 
@@ -57,6 +58,8 @@ __all__ = [
     "SweepRow",
     "Termination",
     "ValidationError",
+    "certified_gap",
+    "check_reference",
     "choose_epsilon_line_search",
     "counterexample_dataset",
     "diluted_step",

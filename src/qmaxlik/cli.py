@@ -28,10 +28,9 @@ from .engine import (
     reconstruct,
 )
 from .errors import ConvergenceError, DataFormatError, ValidationError, check_int
-from .operators import validate_density
 from .povm import projector_from_state
 from .simulate import PRESETS, RNG_ALGORITHM, SimulationSpec, preset_state, sample_counts, sample_quadratures
-from .sweep import DEFAULT_MAX_ITERATIONS, reference_solution, sweep_iteration_counts
+from .sweep import DEFAULT_MAX_ITERATIONS, check_reference, reference_solution, sweep_iteration_counts
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -118,20 +117,16 @@ def _parse_float_list(text: str, allow_inf: bool) -> list[float]:
 
 
 def _cached_reference(dataset_path: Path, dataset, max_iters: int, cache_dir: Path):
-    """The cached reference solution for this input and solve, if any, with its stop, and its cache file.
-
-    An entry that is not a density matrix of the dataset's dimension is a miss.
-    """
+    """The cached reference for this input and solve with its stop and gap, or a miss, and its cache file."""
     key = f"|dim={dataset.dim}|max_iters={max_iters}|solver={SOLVER_DIGEST}"
     digest = hashlib.sha256(dataset_path.read_bytes() + key.encode()).hexdigest()
     cache_file = cache_dir / f"reference-{digest[:24]}.json"
     if cache_file.exists():
         try:
             estimate, stop = io.parse_result(cache_file)
-            if estimate.shape == (dataset.dim, dataset.dim):
-                return validate_density(estimate), stop, cache_file
+            return estimate, {**stop, "certified_gap": check_reference(estimate, dataset)}, cache_file
         except (DataFormatError, ValidationError):
-            pass  # a damaged entry is a miss; the fresh solve overwrites it
+            pass  # an entry that does not parse or that check_reference refuses; the fresh solve overwrites it
     return None, None, cache_file
 
 
@@ -151,7 +146,8 @@ def cmd_sweep(args) -> int:
         except ConvergenceError as exc:
             print(f"sweep aborted: {exc}", file=sys.stderr)
             return EXIT_NO_CONVERGENCE
-        reference, stop = ref_result.estimate, _stop(ref_result)
+        reference = ref_result.estimate
+        stop = {**_stop(ref_result), "certified_gap": check_reference(reference, dataset)}
         cache_dir.mkdir(parents=True, exist_ok=True)  # only now: a rejected flag leaves no directory
         io.write_result_json(cache_file, ref_result)
     rows = sweep_iteration_counts(

@@ -198,6 +198,12 @@ def r_operator(rho, dataset: MeasurementRecord) -> np.ndarray:
     return hermitize(dataset.likelihood_terms(_check_dims(rho, dataset))[2])
 
 
+def certified_gap(rho, dataset: MeasurementRecord) -> float:
+    """N (lambda_max(R) - 1) in nats, a bound on L* - L(rho) for the plain likelihood (Glancy, Knill & Girard,
+    New J. Phys. 14, 095017 (2012)); the G-corrected objective's bound is not computed yet (ROADMAP item 2)."""
+    return dataset.total * (float(np.linalg.eigvalsh(r_operator(rho, dataset))[-1]) - 1.0)
+
+
 def _apply_map(rho: np.ndarray, b: np.ndarray, eps: float) -> np.ndarray:
     """normalize(M rho M^dag) with M = (1 + eps*b)/(1 + eps), or M = b at eps >= QUADRATIC_EPSILON."""
     m = b if eps >= QUADRATIC_EPSILON else (np.eye(b.shape[0]) + eps * b) / (1.0 + eps)

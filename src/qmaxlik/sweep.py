@@ -1,13 +1,12 @@
 """Convergence sweeps: iterations to reach a reference solution as a function of eps.
 
-Protocol: solve the dataset once to high accuracy (line-search steps, 1e-10
-element tolerance), then rerun the diluted iteration from scratch for each eps
-and count steps until every matrix element is within the requested tolerance
-of the reference. Each trajectory is the loop ``reconstruct`` runs under
-``FixedEpsilon(eps)`` (no G-correction), eps = inf giving the plain quadratic
-update. Every eps must be positive, every tolerance positive and finite, and
-the reference a finite dim x dim matrix; NaN is rejected. A reference solve that
-hits the iteration cap or cycles raises ``ConvergenceError``.
+Protocol: solve the dataset once to high accuracy (line-search steps, 1e-10 element
+tolerance), kept whatever its stop when ``check_reference`` certifies it; then rerun
+the diluted iteration from scratch for each eps and count steps until every matrix
+element is within the requested tolerance of the reference. Each trajectory is the
+loop ``reconstruct`` runs under ``FixedEpsilon(eps)`` (no G-correction), eps = inf
+giving the plain quadratic update. Every eps must be positive, every tolerance
+positive and finite, and the reference a finite dim x dim matrix.
 """
 
 from __future__ import annotations
@@ -18,19 +17,20 @@ import numpy as np
 
 from .dataset import MeasurementRecord
 from .engine import (
-    CONVERGED,
     FixedEpsilon,
     LineSearchEpsilon,
     ReconstructionConfig,
     ReconstructionResult,
-    Termination,
     _iterate,
+    certified_gap,
     reconstruct,
 )
 from .errors import ConvergenceError, ValidationError, check_int
+from .operators import validate_density
 
 REFERENCE_TOLERANCE = 1e-10
 DEFAULT_MAX_ITERATIONS = 20000  # default iteration cap of the reference solve and of each trajectory
+REFERENCE_GAP = 0.5  # nats: the largest certified gap of a usable reference, the one-parameter likelihood-ratio scale
 
 
 @dataclass(frozen=True)
@@ -43,10 +43,7 @@ class SweepRow:
 
 def reference_solution(dataset: MeasurementRecord,
                        max_iterations: int = DEFAULT_MAX_ITERATIONS) -> ReconstructionResult:
-    """High-accuracy solve used as the comparison point of a sweep.
-
-    A ``likelihood_stalled`` stop is accepted, though no bound on its likelihood gap is checked.
-    """
+    """High-accuracy solve a sweep compares against, returned whatever its stop once ``check_reference`` accepts it."""
     config = ReconstructionConfig(
         strategy=LineSearchEpsilon(),
         tol_residual=REFERENCE_TOLERANCE,
@@ -55,12 +52,15 @@ def reference_solution(dataset: MeasurementRecord,
         max_iterations=max_iterations,
     )
     result = reconstruct(dataset, config)
-    if result.termination not in (*CONVERGED, Termination.LIKELIHOOD_STALLED):
-        raise ConvergenceError(
-            f"reference solve did not converge ({result.termination.value}, "
-            f"residual {result.final_residual:.3e})"
-        )
+    check_reference(result.estimate, dataset)
     return result
+
+
+def check_reference(estimate, dataset: MeasurementRecord) -> float:
+    """The certified gap of ``estimate`` on ``dataset``; raises unless it is a density matrix within REFERENCE_GAP."""
+    if not (gap := certified_gap(validate_density(estimate), dataset)) <= REFERENCE_GAP:
+        raise ConvergenceError(f"reference certified only to a gap of {gap:.3e} nats, above the bound {REFERENCE_GAP}")
+    return gap
 
 
 def sweep_iteration_counts(

@@ -566,7 +566,7 @@ class TestCliSweep:
         assert warm.read_bytes() == cold.read_bytes()
         assert cached.read_bytes() == intact
 
-    @pytest.mark.parametrize("tamper", ["dim_one", "nan"])
+    @pytest.mark.parametrize("tamper", ["dim_one", "nan", "mixed"])
     def test_tampered_cache_entry_is_rewritten(self, tmp_path, counterexample_json, tamper):
         cache = tmp_path / "cache"
         args = ["sweep", str(counterexample_json), "--epsilons", "0.5,inf", "--tolerances", "1e-4",
@@ -578,8 +578,10 @@ class TestCliSweep:
         payload = json.loads(intact)
         if tamper == "dim_one":  # a well-formed result file of the wrong dimension
             payload["dim"], payload["estimate"] = 1, {"re": [[1.0]], "im": [[0.0]]}
-        else:
+        elif tamper == "nan":
             payload["estimate"]["re"][0][0] = float("nan")
+        else:  # a density matrix of the right size, but 1 nat from the maximum: sweep.check_reference refuses it
+            payload["estimate"]["re"] = [[0.5, 0.0], [0.0, 0.5]]
         cached.write_text(json.dumps(payload))
         assert qio.parse_result_estimate(cached).shape in ((1, 1), (2, 2))  # still parses
         assert main(args + ["--out", str(warm)]) == 0
@@ -708,7 +710,8 @@ class TestManifest:
                        "tolerances": "1e-4", "max_iters": 300, "dim": None, "cache_dir": None},
             "seed": None, "rng_algorithm": None,
             "extra": {"rows": 1, "reference_cache": str(cached),
-                      "reference": {"termination": "residual_met", "iterations": 1}},
+                      "reference": {"termination": "residual_met", "iterations": 1,
+                                    "certified_gap": pytest.approx(0.0, abs=1e-12)}},
         }
         # a warm cache reports the reference's stop as read from the cache file
         assert main(["sweep", str(counterexample_json), "--epsilons", "1", "--tolerances", "1e-4",

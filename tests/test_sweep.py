@@ -4,13 +4,17 @@ import numpy as np
 import pytest
 
 from qmaxlik import (
-    CONVERGED,
     ConvergenceError,
     ReconstructionResult,
+    SimulationSpec,
     Termination,
     ValidationError,
+    check_reference,
     counterexample_dataset,
+    preset_state,
+    quadrature_dataset,
     reference_solution,
+    sample_quadratures,
     sweep,
     sweep_iteration_counts,
 )
@@ -34,17 +38,37 @@ class TestReferenceSolution:
             reference_solution(random_dataset(np.random.default_rng(3), dim=3, n_outcomes=10), max_iterations=2)
 
     @pytest.mark.parametrize("termination", list(Termination), ids=lambda t: t.value)
-    def test_accepts_exactly_the_converged_stops_and_a_stall(self, monkeypatch, termination):
-        accepted = {Termination.RESIDUAL_MET, Termination.ELEMENT_CHANGE_MET, Termination.LIKELIHOOD_STALLED}
-        assert {*CONVERGED, Termination.LIKELIHOOD_STALLED} == accepted
-        result = ReconstructionResult(estimate=MLE, log_likelihood_trace=np.zeros(2), epsilon_trace=np.ones(1),
-                                      final_residual=0.0, iterations=1, termination=termination)
-        monkeypatch.setattr(sweep, "reconstruct", lambda dataset, config: result)
-        if termination in accepted:
-            assert reference_solution(counterexample_dataset()) is result
-        else:
-            with pytest.raises(ConvergenceError, match=f"reference solve did not converge \\({termination.value}"):
-                reference_solution(counterexample_dataset())
+    def test_any_stop_is_judged_by_its_certified_gap(self, monkeypatch, termination):
+        def solved(estimate):
+            result = ReconstructionResult(estimate=estimate, log_likelihood_trace=np.zeros(2),
+                                          epsilon_trace=np.ones(1), final_residual=0.0, iterations=1,
+                                          termination=termination)
+            monkeypatch.setattr(sweep, "reconstruct", lambda dataset, config: result)
+            return result
+
+        result = solved(MLE)
+        assert reference_solution(counterexample_dataset()) is result
+        solved(np.eye(2) / 2)  # gap N (lambda_max(R) - 1) = 3 (4/3 - 1) = 1 nat
+        with pytest.raises(ConvergenceError, match="gap of 1.000e[+]00 nats, above the bound 0.5"):
+            reference_solution(counterexample_dataset())
+
+
+class TestCappedReference:
+    """A reference stopped by the iteration cap on the CI's `simulate --n 2000 --dim 6 --phases 6` data."""
+
+    @pytest.fixture(scope="class")
+    def record(self):
+        spec = SimulationSpec(state=preset_state("superposition01", 6), seed=0, count=2000)
+        return quadrature_dataset(*sample_quadratures(spec, np.linspace(0.0, np.pi, 6, endpoint=False), 6), 6)
+
+    def test_certified_below_the_bound_is_accepted(self, record):
+        reference = reference_solution(record, max_iterations=200)
+        assert reference.termination is Termination.MAX_ITERATIONS
+        assert 0.0 < check_reference(reference.estimate, record) < 1e-5  # 1.9e-6 nats
+
+    def test_far_from_the_maximum_is_refused(self, record):
+        with pytest.raises(ConvergenceError, match=r"gap of 7\.2\d\de-01 nats"):
+            reference_solution(record, max_iterations=20)
 
 
 class TestIterationCounts:
