@@ -65,6 +65,12 @@ class MeasurementRecord:
         """Sum of all measurement elements (identity for a complete POVM)."""
         return self.weighted_sum(np.ones(self.n_outcomes))
 
+    def _checked_weights(self, weights) -> np.ndarray:
+        weights = np.asarray(weights, dtype=np.float64)
+        if weights.shape != self.counts.shape:
+            raise ValidationError(f"weights shape {weights.shape} does not match {self.counts.shape}")
+        return weights
+
 
 @dataclass(frozen=True)
 class Dataset(MeasurementRecord):
@@ -101,7 +107,7 @@ class Dataset(MeasurementRecord):
 
     def weighted_sum(self, weights: np.ndarray) -> np.ndarray:
         """sum_k weights[k] Pi_k."""
-        return np.einsum("k,kij->ij", weights, self.elements)
+        return np.einsum("k,kij->ij", self._checked_weights(weights), self.elements)
 
 
 def wavefunction_table(dim: int, x) -> np.ndarray:
@@ -162,18 +168,17 @@ def product_table(dim: int) -> np.ndarray:
     return table
 
 
-# A phase with fewer samples than this joins the pooled block. Per call of both
-# kernels a phase group has a fixed cost (its slice, coefficients and two GEMVs)
-# of about 2.5 us at dim 6, 4.5 us at dim 15 and 14 us at dim 30, then 0.02-0.05
-# us per sample; a pooled sample costs 0.06, 0.2 and 0.5 us. Timed with one BLAS
-# thread on a 2-core x86-64 box, groups won from about 70 samples per phase at
-# dim 6, 26 at dim 15 and 32 at dim 30. On 150 phases of 8 to 160 samples each,
-# a cut-off of 48 was 2-7% faster than 64 at dims 15 and 30 and 1-6% slower at
-# dim 6, so the cut-off stays.
+# A phase with fewer samples than this joins the pooled block. Per likelihood_terms call a phase group has a
+# fixed cost (its coefficients, its share of R, its place in the batched products) of about 0.8 us at dim 6, 3 us
+# at dim 15 and 12 us at dim 30, then 0.01-0.02, 0.02-0.05 and 0.1-0.3 us per sample; a pooled sample costs
+# 0.07-0.1, 0.2-0.27 and 0.45-0.6 us. Timed with one BLAS thread on a 2-core x86-64 box, on 150 phases of n samples
+# each, groups won from about n = 10 at dim 6, 16 at dim 15 and 32 at dim 30. The cut-off stays at 64, so which
+# samples are pooled, and every result, stays as before the batched kernel.
 POOLED_BELOW = 64
 
-# Phases are taken in runs whose Phi fits in this many bytes, so likelihood_terms reads a run's Phi again from
-# cache: 0.69-0.76 of the time of traces + weighted_sum at dim 15, 0.68-0.73 at dim 6, 0.85 with 8 MB runs.
+# Phases are taken in runs whose zero-padded slab fits in this many bytes (and pads at most a quarter of its samples),
+# so likelihood_terms reads a run's slab again from cache: 0.84 of the time of traces + weighted_sum at dim 6 (5,000
+# samples, 12 phases), 0.92 at dim 15, 0.77-0.89 at dim 30; 1 MB runs within 5%, one 8 MB run 6% slower at dim 6.
 RUN_BYTES = 1 << 19
 
 
@@ -192,9 +197,11 @@ class QuadratureDataset(MeasurementRecord):
         tr(Pi_k M) = Phi[:, k] . c,      c = L^T vec(A)      (M Hermitian),
         sum_k w_k Pi_k = D reshape(L mu) D^dag,      mu = sum_k w_k Phi[:, k],
 
-    one matrix-vector product per phase and kernel. Phases with fewer than
-    POOLED_BELOW samples go to one pooled block that works on the complex
-    rows chi_k instead. Outcome k is always sample k, in input order (kernels work in phase order).
+    one matrix-vector product per phase and kernel, batched over each run of
+    consecutive phases, a zero-padded (phases, 2 dim - 1, longest) slab (RUN_BYTES).
+    Phases with fewer than POOLED_BELOW samples go to one pooled block that works on
+    the complex rows chi_k instead. Kernels write a flat layout, the slabs' slots
+    then the pooled block; outcome k is always sample k, at slot _gather[k].
 
     Attributes
     ----------
@@ -227,24 +234,39 @@ class QuadratureDataset(MeasurementRecord):
         # the samples on large phases, sorted by phase, then the pooled samples in input order
         order = np.argsort(np.where(big[index], index, phases.size), kind="stable")
         bounds = np.concatenate([[0], np.cumsum(sizes[big])]).tolist()  # phase p holds bounds[p]:bounds[p + 1]
-        runs = []  # (rows, [(phase, its rows within the run)]) per run of consecutive phases, see RUN_BYTES
-        for p, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-            if not runs or (hi - runs[-1][0]) * (2 * dim - 1) * 8 > RUN_BYTES:
-                runs.append((lo, []))
-            runs[-1][1].append((p, slice(lo - runs[-1][0], hi - runs[-1][0])))
-        runs = [(slice(start, start + parts[-1][1].stop), parts) for start, parts in runs]
-        phi = product_basis(dim, xs[order[: bounds[-1]]])
+        runs = [[]]  # the sizes of the phases in each run of consecutive phases, see RUN_BYTES
+        for n in sizes[big].tolist():
+            padded = (len(runs[-1]) + 1) * max(runs[-1] + [n])  # the run's slab with this phase, in samples
+            if runs[-1] and (padded * (2 * dim - 1) * 8 > RUN_BYTES or 4 * padded > 5 * (sum(runs[-1]) + n)):
+                runs.append([])
+            runs[-1].append(n)
+        spans, starts, offset = [], [], 0  # (its flat slots, its phases) per run; where each phase starts
+        for run in filter(None, runs):
+            spans.append((slice(offset, offset + len(run) * max(run)), slice(len(starts), len(starts) + len(run))))
+            starts += range(offset, offset + len(run) * max(run), max(run))
+            offset += len(run) * max(run)
+        slots = np.arange(xs.size) + np.repeat(np.array(starts + [offset]) - bounds,
+                                               np.append(sizes[big], xs.size - bounds[-1]))
+        gather = np.empty(xs.size, dtype=np.intp)  # the flat slot of input sample k; slots is in phase order
+        gather[order] = slots
+        x = np.zeros(offset)  # the grouped quadratures at their slots
+        x[slots[: bounds[-1]]] = xs[order[: bounds[-1]]]
+        table = product_basis(dim, x)  # every slab's columns, in flat order, then zeros in the padding
+        table[:, np.bincount(slots[: bounds[-1]], minlength=offset) == 0] = 0.0
+        slabs = [table[:, rows].reshape(2 * dim - 1, run.stop - run.start, -1).transpose(1, 0, 2)
+                 for rows, run in spans]  # per run, a (phases, 2 dim - 1, longest phase) view of its columns
+        flat_counts = np.bincount(gather, counts, minlength=offset + xs.size - bounds[-1])
         u = np.exp(1j * np.outer(phases[big], np.arange(dim)))  # diagonal of D per grouped phase
         chi = fock_amplitudes(thetas[order[bounds[-1]:]], xs[order[bounds[-1]:]], dim)
         object.__setattr__(self, "thetas", thetas)
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "_order", order)
-        object.__setattr__(self, "_sorted_counts", counts[order])
-        object.__setattr__(self, "_runs", runs)
-        object.__setattr__(self, "_pooled", slice(bounds[-1], None))
-        object.__setattr__(self, "_blocks", np.split(phi, bounds[1:], axis=1)[:-1])  # a column view per phase
+        object.__setattr__(self, "_gather", gather)
+        object.__setattr__(self, "_flat_counts", flat_counts)
+        object.__setattr__(self, "_slabs", slabs)
+        object.__setattr__(self, "_spans", spans)
+        object.__setattr__(self, "_pooled", slice(offset, None))
         # D^dag M D = M * twist, flattened to (phases, dim^2)
         object.__setattr__(self, "_twists", (u.conj()[:, :, None] * u[:, None, :]).reshape(-1, dim * dim))
         object.__setattr__(self, "_chi", np.asfortranarray(chi))
@@ -258,43 +280,46 @@ class QuadratureDataset(MeasurementRecord):
 
     def traces(self, matrix: np.ndarray) -> np.ndarray:
         """tr(Pi_k matrix) for every sample, as real numbers (matrix is Hermitian)."""
-        return self._kernels(matrix, None)[0]
+        return self._kernels(matrix, None)[0][self._gather]
 
     def weighted_sum(self, weights: np.ndarray) -> np.ndarray:
         """sum_k weights[k] Pi_k."""
-        weights = np.asarray(weights, dtype=np.float64)[self._order]
-        return self._kernels(None, lambda rows, _: weights[rows])[2]
+        flat = np.zeros(self._flat_counts.size)
+        flat[self._gather] = self._checked_weights(weights)
+        return self._kernels(None, lambda rows, _: flat[rows])[1]
 
     def likelihood_terms(self, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(traces, probs, r) in one pass: each run of phases builds its share of r while its Phi is in cache."""
-        traces, ordered, r = self._kernels(
-            rho, lambda rows, t: self._sorted_counts[rows] / (self.total * np.maximum(t, PROBABILITY_FLOOR)))
-        return traces, np.maximum(traces, PROBABILITY_FLOOR, out=ordered), r
+        """(traces, probs, r) in one pass: each run of phases builds its share of r while its slab is in cache."""
+        flat, r = self._kernels(
+            rho, lambda rows, t: self._flat_counts[rows] / (self.total * np.maximum(t, PROBABILITY_FLOOR)))
+        traces = flat[self._gather]
+        return traces, np.maximum(traces, PROBABILITY_FLOOR, out=flat[: self.n_outcomes]), r
 
     def _kernels(self, matrix, weigh):
-        """Traces of ``matrix`` (input, phase order) and sum_k w_k Pi_k, w = weigh(rows, traces) per run, or None."""
+        """Traces of ``matrix`` in the flat layout and sum_k w_k Pi_k, w = weigh(rows, traces) per slab and for
+        the pooled block, or None. Padding holds zero traces and must get zero weights."""
         table = product_table(self.dim)
-        traces = ordered = None
+        flat = None
         if matrix is not None:
             coeffs = (np.reshape(matrix, -1) * self._twists).real @ table  # c per phase
-            traces, ordered = np.empty(self.n_outcomes), np.empty(self.n_outcomes)
-            ordered[self._pooled] = np.einsum("ki,ki->k", self._chi_conj @ matrix, self._chi).real
-        moments = np.empty((len(self._blocks), 2 * self.dim - 1))  # mu per phase
-        for rows, parts in self._runs:
-            run = None if matrix is None else ordered[rows]
-            for p, local in parts if matrix is not None else ():
-                np.matmul(coeffs[p], self._blocks[p], out=run[local])
-            weights = None if weigh is None else weigh(rows, run)
-            for p, local in parts if weigh is not None else ():
-                np.matmul(self._blocks[p], weights[local], out=moments[p])
-        if matrix is not None:
-            traces[self._order] = ordered
+            flat = np.empty(self._flat_counts.size)
+            if self._chi.size:
+                flat[self._pooled] = np.einsum("ki,ki->k", self._chi_conj @ matrix, self._chi).real
+        moments = np.empty((len(self._twists), 2 * self.dim - 1))  # mu per phase
+        for slab, (rows, phases) in zip(self._slabs, self._spans):
+            count, _, longest = slab.shape
+            if matrix is not None:
+                np.matmul(coeffs[phases, None], slab, out=flat[rows].reshape(count, 1, longest))
+            if weigh is not None:
+                weights = weigh(rows, None if flat is None else flat[rows])
+                np.matmul(slab, weights.reshape(count, longest, 1), out=moments[phases, :, None])
         if weigh is None:
-            return traces, ordered, None
-        weights = weigh(self._pooled, None if matrix is None else ordered[self._pooled])
-        total = (self._chi * weights[:, None]).T @ self._chi_conj
-        total += np.einsum("pi,pi->i", moments @ table.T, self._twists.conj()).reshape(self.dim, self.dim)
-        return traces, ordered, total
+            return flat, None
+        total = np.einsum("pi,pi->i", moments @ table.T, self._twists.conj()).reshape(self.dim, self.dim)
+        if self._chi.size:
+            weights = weigh(self._pooled, None if flat is None else flat[self._pooled])
+            total += (self._chi * weights[:, None]).T @ self._chi_conj
+        return flat, total
 
 
 @dataclass(frozen=True)

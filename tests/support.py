@@ -57,10 +57,19 @@ def quadrature_record(rng, thetas, dim):
     return QuadratureDataset(thetas=thetas, xs=xs, counts=counts, dim=dim)
 
 
+def sum_tolerance(record):
+    """Bound on the difference of two summation orders of a record's weighted sums: 1e-12 up to 1,000 outcomes,
+    then growing with their number, as the rounding of a sum of that many terms does."""
+    return 1e-12 * max(1.0, record.n_outcomes / 1000)
+
+
 def phase_layouts(rng):
-    """Phases of four records: few phases (grouped only), all distinct (pooled only), a mix, one sample."""
+    """Phases of five records: few phases (grouped only), all distinct (pooled only), a mix, one sample, and one
+    phase of 4,000 samples amid 30 grouped phases of 64-100 samples (padded slabs)."""
     few = np.repeat([0.0, 0.7, 2.1], POOLED_BELOW + 10)
     mix = np.concatenate([np.repeat([0.4, 1.9], POOLED_BELOW + 3), np.full(POOLED_BELOW - 1, 1.1),
                           rng.uniform(0.0, np.pi, 25)])
-    layouts = {"few": few, "distinct": rng.uniform(0.0, np.pi, 150), "mix": mix, "single": [0.8]}
+    unequal = np.repeat(np.linspace(0.0, np.pi, 31, endpoint=False),
+                        np.insert(POOLED_BELOW + np.arange(30) * 7 % 37, 15, 4000))
+    layouts = {"few": few, "distinct": rng.uniform(0.0, np.pi, 150), "mix": mix, "single": [0.8], "unequal": unequal}
     return {name: rng.permutation(thetas) for name, thetas in layouts.items()}

@@ -18,8 +18,9 @@ from qmaxlik import (
     reconstruct,
     sample_quadratures,
 )
+from qmaxlik import dataset
 from qmaxlik.dataset import POOLED_BELOW, product_basis, product_table, wavefunction_table
-from support import phase_layouts, quadrature_record, random_dataset, random_density
+from support import phase_layouts, quadrature_record, random_dataset, random_density, sum_tolerance
 
 
 class TestDataset:
@@ -137,30 +138,60 @@ class TestQuadratureDataset:
             with pytest.raises(ValueError, match="read-only"):
                 stored[0] = 0.0
 
-    @pytest.mark.parametrize("layout", ["few", "distinct", "mix", "single"])
+    @pytest.mark.parametrize("layout", ["few", "distinct", "mix", "single", "unequal"])
     def test_kernels_match_element_stack(self, layout):
         rng = np.random.default_rng(11)
         thetas = phase_layouts(rng)[layout]
         for dim in (1, 5, 15, 30):
             record = quadrature_record(rng, thetas, dim)
             dense = _dense(record)
-            grouped, pooled = len(record._blocks) > 0, len(record._chi) > 0
-            assert (grouped, pooled) == {"few": (True, False), "distinct": (False, True),
-                                         "mix": (True, True), "single": (False, True)}[layout]
+            grouped, pooled = len(record._slabs) > 0, len(record._chi) > 0
+            assert (grouped, pooled) == {"few": (True, False), "distinct": (False, True), "mix": (True, True),
+                                         "single": (False, True), "unequal": (True, False)}[layout]
             rho = random_density(rng, dim)
             weights = rng.uniform(0.0, 2.0, size=record.n_outcomes)
+            tol = sum_tolerance(record)
             assert np.max(np.abs(record.traces(rho) - dense.traces(rho))) <= 1e-12
-            assert np.max(np.abs(record.weighted_sum(weights) - dense.weighted_sum(weights))) <= 1e-12
-            assert np.max(np.abs(record.element_sum() - dense.element_sum())) <= 1e-12
-            assert np.max(np.abs(r_operator(rho, record) - r_operator(rho, dense))) <= 1e-12
+            assert np.max(np.abs(record.weighted_sum(weights) - dense.weighted_sum(weights))) <= tol
+            assert np.max(np.abs(record.element_sum() - dense.element_sum())) <= tol
+            assert np.max(np.abs(r_operator(rho, record) - r_operator(rho, dense))) <= tol
             assert np.max(np.abs(record.elements - dense.elements)) <= 1e-12
             if layout == "single" and dim > 1:  # one rank-1 element: G cannot be inverted
                 with pytest.raises(ValidationError, match="singular"):
                     GOperator.from_dataset(record)
             else:
                 g, g_dense = GOperator.from_dataset(record), GOperator.from_dataset(dense)
-                assert np.max(np.abs(g.matrix - g_dense.matrix)) <= 1e-12
-                assert np.max(np.abs(g.inverse - g_dense.inverse)) <= 1e-12 * g.condition
+                assert np.max(np.abs(g.matrix - g_dense.matrix)) <= tol
+                assert np.max(np.abs(g.inverse - g_dense.inverse)) <= tol * g.condition
+
+    @pytest.mark.parametrize("dim", [1, 5, 15, 30])
+    def test_slabs_pad_at_most_a_quarter(self, dim):
+        """One long phase amid short ones: the runs beside it share slabs, and the padding stays below a quarter
+        of the grouped samples' floats, also at dim 1, where a run of 16 phases padded to 4,000 fits RUN_BYTES."""
+        record = quadrature_record(np.random.default_rng(3), phase_layouts(np.random.default_rng(3))["unequal"], dim)
+        grouped = record.n_outcomes - record._chi.shape[0]
+        held = sum(slab.size for slab in record._slabs)
+        assert any(slab.shape[0] > 1 for slab in record._slabs) and held > (2 * dim - 1) * grouped
+        assert held <= 1.25 * (2 * dim - 1) * grouped
+
+    @pytest.mark.parametrize("run_bytes, runs", [(0, 20), (1 << 40, 1)], ids=["phase-per-run", "one-run"])
+    def test_run_layout_leaves_kernels_unchanged(self, monkeypatch, run_bytes, runs):
+        """20 phases of 64-80 samples and 30 pooled ones at dim 30: two or more padded runs by default, one run per
+        phase, or one run for all."""
+        rng = np.random.default_rng(4)
+        grouped = np.repeat(np.linspace(0.0, 3.0, 20), POOLED_BELOW + np.arange(20) % 17)
+        thetas = rng.permutation(np.concatenate([grouped, rng.uniform(0.0, np.pi, 30)]))
+        xs, counts = rng.uniform(-4.0, 4.0, thetas.size), rng.uniform(0.5, 3.0, thetas.size)
+        default = QuadratureDataset(thetas=thetas, xs=xs, counts=counts, dim=30)
+        monkeypatch.setattr(dataset, "RUN_BYTES", run_bytes)
+        record = QuadratureDataset(thetas=thetas, xs=xs, counts=counts, dim=30)
+        assert 1 < len(default._slabs) < 20 and len(record._slabs) == runs
+        rho, weights = random_density(rng, 30), rng.uniform(0.0, 2.0, thetas.size)
+        pairs = [(record.traces(rho), default.traces(rho)),
+                 (record.weighted_sum(weights), default.weighted_sum(weights)),
+                 *zip(record.likelihood_terms(rho), default.likelihood_terms(rho))]
+        for got, expected in pairs:
+            assert np.max(np.abs(got - expected)) <= 1e-15 * np.max(np.abs(expected))
 
     def test_outcome_order_follows_input(self):
         rng = np.random.default_rng(12)
@@ -177,7 +208,7 @@ class TestQuadratureDataset:
         np.testing.assert_allclose(shuffled.elements[3], quadrature_projector(thetas[perm[3]], xs[perm[3]], 4),
                                    atol=1e-14)
 
-    @pytest.mark.parametrize("layout", ["few", "distinct", "mix", "single"])
+    @pytest.mark.parametrize("layout", ["few", "distinct", "mix", "single", "unequal"])
     def test_memory_is_linear_in_samples(self, layout):
         rng = np.random.default_rng(13)
         record = quadrature_record(rng, phase_layouts(rng)[layout], 15)

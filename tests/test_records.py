@@ -2,6 +2,7 @@
 input stack of a counted record, the per-sample ``quadrature_projector`` stack of a homodyne one."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from qmaxlik import (Dataset, GOperator, QuadratureDataset, ValidationError, counterexample_dataset,
                      quadrature_projector, r_operator)
 from qmaxlik.dataset import PROBABILITY_FLOOR
-from support import phase_layouts, quadrature_record, random_complete_povm, random_density
+from support import phase_layouts, quadrature_record, random_complete_povm, random_density, sum_tolerance
 
 
 def _counted(dim, n_outcomes, kept):
@@ -30,7 +31,7 @@ def _homodyne(layout, dim):
 FACTORIES = {"complete": _counted(3, 6, 6), "incomplete": _counted(4, 8, 7),
              "counterexample": lambda rng: (counterexample_dataset(), np.einsum("ki,kj->kij", np.eye(2), np.eye(2))),
              **{f"{layout}-{dim}": _homodyne(layout, dim)
-                for layout in ("few", "distinct", "mix", "single") for dim in (1, 5, 15, 30)}}
+                for layout in ("few", "distinct", "mix", "single", "unequal") for dim in (1, 5, 15, 30)}}
 contract = pytest.mark.parametrize("make", FACTORIES.values(), ids=FACTORIES)
 
 
@@ -43,23 +44,37 @@ def test_sizes_and_kernels_match_the_dense_reference(make):
     record, reference = make(np.random.default_rng(11))
     assert (record.n_outcomes, record.dim, record.dim) == reference.shape and record.total == record.counts.sum()
     assert record.nbytes >= sum(a.nbytes for a in _inputs(record).values())
-    if isinstance(record, QuadratureDataset) and record.dim == 15:  # factored: below the dense stack
-        assert record.nbytes < reference.nbytes
+    if isinstance(record, QuadratureDataset):  # the slabs hold 2 dim - 1 floats per grouped sample at least
+        grouped = record.n_outcomes - record._chi.shape[0]
+        assert record.nbytes >= sum(a.nbytes for a in _inputs(record).values()) + 8 * (2 * record.dim - 1) * grouped
+        if record.dim == 15:  # factored: below the dense stack
+            assert record.nbytes < reference.nbytes
     dense = Dataset(elements=reference, counts=record.counts)
     rng = np.random.default_rng(12)
     rho, weights = random_density(rng, record.dim), rng.uniform(0.0, 2.0, size=record.n_outcomes)
+    tol = sum_tolerance(record)
     assert np.max(np.abs(record.traces(rho) - dense.traces(rho))) <= 1e-12
-    assert np.max(np.abs(record.weighted_sum(weights) - dense.weighted_sum(weights))) <= 1e-12
-    assert np.max(np.abs(record.element_sum() - dense.element_sum())) <= 1e-12
-    assert np.max(np.abs(r_operator(rho, record) - r_operator(rho, dense))) <= 1e-12
+    assert np.max(np.abs(record.weighted_sum(weights) - dense.weighted_sum(weights))) <= tol
+    assert np.max(np.abs(record.element_sum() - dense.element_sum())) <= tol
+    assert np.max(np.abs(r_operator(rho, record) - r_operator(rho, dense))) <= tol
     assert np.max(np.abs(record.elements - reference)) <= 1e-12
     if np.linalg.matrix_rank(reference.sum(axis=0)) < record.dim:  # one rank-1 element at dim > 1
         with pytest.raises(ValidationError, match="singular"):
             GOperator.from_dataset(record)
         return
     g, g_dense = GOperator.from_dataset(record), GOperator.from_dataset(dense)
-    assert np.max(np.abs(g.matrix - g_dense.matrix)) <= 1e-12
-    assert np.max(np.abs(g.inverse - g_dense.inverse)) <= 1e-12 * g.condition
+    assert np.max(np.abs(g.matrix - g_dense.matrix)) <= tol
+    assert np.max(np.abs(g.inverse - g_dense.inverse)) <= tol * g.condition
+
+
+@contract
+def test_weighted_sum_refuses_weights_of_another_shape(make):
+    record, _ = make(np.random.default_rng(11))
+    n = record.n_outcomes
+    for weights in (np.ones(n + 1), np.ones((n, 1)), np.ones(()), np.ones(1) if n > 1 else np.ones(2)):
+        message = f"weights shape {weights.shape} does not match {(n,)}"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            record.weighted_sum(weights)
 
 
 @contract
