@@ -52,9 +52,11 @@ class MeasurementRecord:
 
     @property
     def nbytes(self) -> int:
-        """Bytes of every array the record holds, lists of arrays included, summed on every read."""
-        held = [a for value in vars(self).values() for a in (value if isinstance(value, list) else [value])]
-        return sum(a.nbytes for a in held if isinstance(a, np.ndarray))
+        """Bytes of every array the record holds, lists of arrays included, summed on every read; a view of
+        another held array is not counted again."""
+        held = [a for value in vars(self).values() for a in (value if isinstance(value, list) else [value])
+                if isinstance(a, np.ndarray)]
+        return sum(a.nbytes for a in held if not any(a.base is b for b in held))
 
     def likelihood_terms(self, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """tr(Pi_k rho), those raised to PROBABILITY_FLOOR and sum_k f_k / (N probs_k) Pi_k, in new arrays."""
@@ -76,6 +78,10 @@ class MeasurementRecord:
 class Dataset(MeasurementRecord):
     """Stack of measurement elements with the number of occurrences of each outcome.
 
+    Both kernels are real matrix-vector products on the stack read as a (n_outcomes, 2 dim^2) float view T:
+    for Hermitian M, tr(Pi_k M) = sum_ij Re Pi_ij Re M_ij + Im Pi_ij Im M_ij = T[k] . (M as floats), and
+    sum_k w_k Pi_k is w @ T read back as complex.
+
     Attributes
     ----------
     elements : (n_outcomes, dim, dim) complex128 array; each slice is a PSD
@@ -96,6 +102,7 @@ class Dataset(MeasurementRecord):
         elements.flags.writeable = False
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "_table", elements.view(np.float64).reshape(elements.shape[0], -1))
 
     @property
     def dim(self) -> int:
@@ -103,11 +110,11 @@ class Dataset(MeasurementRecord):
 
     def traces(self, matrix: np.ndarray) -> np.ndarray:
         """tr(Pi_k matrix) for every element, as real numbers (matrix is Hermitian)."""
-        return np.einsum("kij,ji->k", self.elements, matrix).real
+        return self._table @ np.ascontiguousarray(matrix, dtype=np.complex128).view(np.float64).ravel()
 
     def weighted_sum(self, weights: np.ndarray) -> np.ndarray:
         """sum_k weights[k] Pi_k."""
-        return np.einsum("k,kij->ij", self._checked_weights(weights), self.elements)
+        return (self._checked_weights(weights) @ self._table).view(np.complex128).reshape(self.dim, self.dim)
 
 
 def wavefunction_table(dim: int, x) -> np.ndarray:
@@ -269,6 +276,7 @@ class QuadratureDataset(MeasurementRecord):
         object.__setattr__(self, "_pooled", slice(offset, None))
         # D^dag M D = M * twist, flattened to (phases, dim^2)
         object.__setattr__(self, "_twists", (u.conj()[:, :, None] * u[:, None, :]).reshape(-1, dim * dim))
+        object.__setattr__(self, "_twists_conj", self._twists.conj())
         object.__setattr__(self, "_chi", np.asfortranarray(chi))
         object.__setattr__(self, "_chi_conj", self._chi.conj())
 
@@ -315,7 +323,7 @@ class QuadratureDataset(MeasurementRecord):
                 np.matmul(slab, weights.reshape(count, longest, 1), out=moments[phases, :, None])
         if weigh is None:
             return flat, None
-        total = np.einsum("pi,pi->i", moments @ table.T, self._twists.conj()).reshape(self.dim, self.dim)
+        total = np.einsum("pi,pi->i", moments @ table.T, self._twists_conj).reshape(self.dim, self.dim)
         if self._chi.size:
             weights = weigh(self._pooled, None if flat is None else flat[self._pooled])
             total += (self._chi * weights[:, None]).T @ self._chi_conj

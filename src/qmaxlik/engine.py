@@ -22,6 +22,7 @@ objective is the likelihood renormalized by tr(G rho).
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import ClassVar, NamedTuple
@@ -30,7 +31,7 @@ import numpy as np
 
 from .dataset import PROBABILITY_FLOOR, GOperator, MeasurementRecord, QuadratureDataset
 from .errors import ValidationError, check_int
-from .operators import hermitize, normalize
+from .operators import _hermitian_part, _unit_trace, hermitize
 
 CYCLE_ATOL = 1e-10
 
@@ -179,7 +180,22 @@ def _check_dims(rho: np.ndarray, dataset: MeasurementRecord) -> np.ndarray:
     rho = np.asarray(rho, dtype=np.complex128)
     if rho.shape != (dataset.dim, dataset.dim):
         raise ValidationError(f"state shape {rho.shape} does not match dataset dim {dataset.dim}")
+    if not np.all(np.isfinite(rho)):  # as normalize refuses a non-finite matrix, before any kernel reads it
+        raise ValidationError("state is not normalizable: it has non-finite entries")
     return rho
+
+
+def _check_epsilon(eps: float) -> None:
+    if not eps > 0:
+        raise ValidationError("eps must be positive")
+
+
+@functools.lru_cache(maxsize=None)
+def _identity(dim: int) -> np.ndarray:
+    """The dim x dim identity, built once per dimension for the maps of the loop."""
+    eye = np.eye(dim)
+    eye.flags.writeable = False
+    return eye
 
 
 def outcome_probabilities(rho, dataset: MeasurementRecord) -> np.ndarray:
@@ -206,8 +222,8 @@ def certified_gap(rho, dataset: MeasurementRecord) -> float:
 
 def _apply_map(rho: np.ndarray, b: np.ndarray, eps: float) -> np.ndarray:
     """normalize(M rho M^dag) with M = (1 + eps*b)/(1 + eps), or M = b at eps >= QUADRATIC_EPSILON."""
-    m = b if eps >= QUADRATIC_EPSILON else (np.eye(b.shape[0]) + eps * b) / (1.0 + eps)
-    return normalize(hermitize(m @ rho @ m.conj().T))
+    m = b if eps >= QUADRATIC_EPSILON else (_identity(b.shape[0]) + eps * b) / (1.0 + eps)
+    return _unit_trace(_hermitian_part(m @ rho @ m.conj().T))
 
 
 def diluted_step(rho, dataset: MeasurementRecord, eps: float, g: GOperator | None = None) -> np.ndarray:
@@ -219,8 +235,7 @@ def diluted_step(rho, dataset: MeasurementRecord, eps: float, g: GOperator | Non
     maximum-likelihood state is a fixed point for every eps, and G = identity
     reduces the map to the uncorrected one exactly.
     """
-    if not eps > 0:
-        raise ValidationError("eps must be positive")
+    _check_epsilon(eps)
     rho = _check_dims(rho, dataset)
     return _apply_map(rho, _direction(r_operator(rho, dataset), g), eps)
 
@@ -232,10 +247,9 @@ def _direction(r: np.ndarray, g: GOperator | None) -> np.ndarray:
 
 def _residual(rho: np.ndarray, r: np.ndarray, g: GOperator | None) -> float:
     """Frobenius norm of R rho - rho, or with G-correction of tr(G rho) G^-1 R rho - rho."""
-    if g is None:
-        return float(np.linalg.norm(r @ rho - rho))
-    tau = (g.matrix @ rho).trace().real
-    return float(np.linalg.norm(tau * (g.inverse @ (r @ rho)) - rho))
+    gap = (r @ rho if g is None else np.vdot(g.matrix, rho).real * (g.inverse @ (r @ rho))) - rho
+    flat = gap.ravel()  # np.linalg.norm's own sum, without its checks
+    return math.sqrt(flat.real.dot(flat.real) + flat.imag.dot(flat.imag))
 
 
 def likelihood_gain_first_order(rho, dataset: MeasurementRecord, eps: float) -> float:
@@ -244,8 +258,11 @@ def likelihood_gain_first_order(rho, dataset: MeasurementRecord, eps: float) -> 
     Non-negative for every state by the Cauchy-Schwarz inequality, and zero
     exactly at the maximum-likelihood state. The value is the derivative of
     the per-measurement log-likelihood; for a record with total weight N the
-    raw log-likelihood changes N times faster.
+    raw log-likelihood changes N times faster. eps is refused where
+    ``diluted_step`` refuses it, except eps = 0: no step, whose gain is 0.
     """
+    if eps != 0.0:
+        _check_epsilon(eps)
     rho = _check_dims(rho, dataset)
     r = r_operator(rho, dataset)
     return 2.0 * eps * float((r @ rho @ r).trace().real - 1.0)
@@ -271,7 +288,7 @@ class _GainProfile:
 
     def __init__(self, state: _Step, dataset: MeasurementRecord, g: GOperator | None):
         self.c = _profile_scale(state)
-        d = self.c * state.b - np.eye(dataset.dim)
+        d = self.c * state.b - _identity(dataset.dim)
         dr = d @ state.rho
         t1, t2 = dr + dr.conj().T, dr @ d.conj().T
         self._counts, self._total = dataset.counts, dataset.total
@@ -296,7 +313,7 @@ class _GainProfile:
         """The step at t as a ``_candidate`` with traces read off the profile and no R; t = 0 gives rho bit for bit."""
         powers = np.array([1.0, t, t * t])
         scale = float(powers @ self._s)
-        rho = hermitize(self._rho + t * self._t1 + (t * t) * self._t2) / scale
+        rho = _hermitian_part(self._rho + t * self._t1 + (t * t) * self._t2) / scale
         eps = math.inf if t == 1.0 else self.c * t / (1.0 - t)
         traces = (powers @ self._q) / scale
         return _candidate(eps, rho, (traces, np.maximum(traces, PROBABILITY_FLOOR), None), self._dataset, self._g)
@@ -358,7 +375,7 @@ def choose_epsilon_line_search(
         t = step if lo < step < hi else 0.5 * (lo + hi)
     while (gain := (candidate := profile.candidate(t))[-1] - state.objective) < 0.0:
         t *= 0.5
-    r = hermitize(dataset.weighted_sum(dataset.counts / (dataset.total * candidate[3])))  # for this candidate only
+    r = _hermitian_part(dataset.weighted_sum(dataset.counts / (dataset.total * candidate[3])))  # its R only
     return (*candidate[:4], r, candidate[5]), gain
 
 
@@ -369,10 +386,10 @@ def choose_epsilon_line_search(
 def _candidate(eps: float, rho: np.ndarray, terms: tuple, dataset: MeasurementRecord, g: GOperator | None):
     """(eps, rho, traces, probs, R, objective); objective sum_j f_j log probs_j, less N log tr(G rho) given G."""
     traces, probs, r = terms
-    r = None if r is None else hermitize(r)
+    r = None if r is None else _hermitian_part(r)
     objective = float(dataset.counts @ np.log(probs))
     if g is not None:
-        objective -= dataset.total * math.log((g.matrix @ rho).trace().real)
+        objective -= dataset.total * math.log(np.vdot(g.matrix, rho).real)
     return eps, rho, traces, probs, r, objective
 
 
@@ -431,9 +448,9 @@ def _iterate(dataset: MeasurementRecord, strategy: EpsilonStrategy, g: GOperator
         else:
             yield state._replace(stall=strategy._stall_diagnostics(tried, best_delta))
             return
-        change = float(np.max(np.abs(candidate - state.rho)))
+        change = float(np.abs(candidate - state.rho).max())
         cycled = previous is not None and change > CYCLE_ATOL and (
-            float(np.max(np.abs(candidate - previous))) <= CYCLE_ATOL)
+            float(np.abs(candidate - previous).max()) <= CYCLE_ATOL)
         previous = state.rho
         state = _Step(candidate, traces, r, _direction(r, g), objective, eps, change, cycled)
         yield state

@@ -33,7 +33,11 @@ def hermitize(m) -> np.ndarray:
     ``out[i, j] == conj(out[j, i])`` exactly (complex addition commutes in
     IEEE arithmetic).
     """
-    a = as_operator(m)
+    return _hermitian_part(as_operator(m))
+
+
+def _hermitian_part(a: np.ndarray) -> np.ndarray:
+    """``hermitize`` of a matrix already known to be a square complex array, such as an iterate."""
     return 0.5 * (a + a.conj().T)
 
 
@@ -44,7 +48,11 @@ def normalize(m) -> np.ndarray:
     which would make the scaling meaningless or wildly amplify noise, or is
     not a number (a non-finite matrix).
     """
-    a = as_operator(m)
+    return _unit_trace(as_operator(m))
+
+
+def _unit_trace(a: np.ndarray) -> np.ndarray:
+    """``normalize`` of a matrix already known to be square, with the same trace floor."""
     tr = a.trace().real
     if not tr > TRACE_FLOOR:
         raise ValidationError(f"matrix is not normalizable: trace {tr:.3e} <= {TRACE_FLOOR:.1e}")

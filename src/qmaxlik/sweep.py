@@ -96,7 +96,7 @@ def sweep_iteration_counts(
         steps = _iterate(dataset, FixedEpsilon(eps), None, max_iterations)
         next(steps)  # the starting state
         for iteration, step in enumerate(steps, start=1):
-            distance = float(np.max(np.abs(step.rho - reference)))
+            distance = float(np.abs(step.rho - reference).max())
             while remaining and distance < remaining[-1]:
                 rows.append(SweepRow(epsilon=eps, tolerance=remaining.pop(), iterations=iteration, converged=True))
             if not remaining or step.cycled:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -35,6 +37,25 @@ class TestDataset:
         rng = np.random.default_rng(0)
         d = random_dataset(rng, 3)
         assert d.total == pytest.approx(d.counts.sum(), rel=1e-12)
+
+    def test_kernels_read_the_stack_in_place(self):
+        """nbytes counts the stack once, though the kernels read it through a stored view, and no kernel call
+        allocates anything near the stack's size: none copies it."""
+        rng = np.random.default_rng(4)
+        dim, k = 16, 2048  # an 8 MB stack
+        vectors = rng.normal(size=(k, dim)) + 1j * rng.normal(size=(k, dim))
+        d = Dataset(elements=np.einsum("ki,kj->kij", vectors, vectors.conj()) / k, counts=rng.uniform(0.5, 10.0, k))
+        assert d.nbytes == d.elements.nbytes + d.counts.nbytes
+        rho = random_density(rng, dim)
+        for call in (lambda: d.traces(rho), lambda: d.weighted_sum(d.counts), lambda: d.likelihood_terms(rho),
+                     lambda: d.traces(np.asfortranarray(rho)), lambda: d.traces(rho.real), d.element_sum):
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < d.elements.nbytes / 64
 
     def test_rejects_all_zero_counts(self):
         eye = np.eye(2, dtype=complex)

@@ -52,6 +52,15 @@ def qubit_record():
     return counterexample_dataset()
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, complex(0.0, math.nan)])
+@pytest.mark.parametrize("call", [log_likelihood, r_operator, outcome_probabilities, engine.certified_gap])
+def test_public_calls_refuse_a_non_finite_state(qubit_record, call, value):
+    rho = UNIFORM.copy()
+    rho[0, 1] = value
+    with pytest.raises(ValidationError, match="non-finite entries"):
+        call(rho, qubit_record)
+
+
 class TestOutcomeProbabilities:
     def test_uniform_state(self, qubit_record):
         np.testing.assert_allclose(outcome_probabilities(UNIFORM, qubit_record), [0.5, 0.5])
@@ -167,6 +176,12 @@ class TestFirstOrderGain:
 
     def test_zero_at_zero_eps(self, qubit_record):
         assert likelihood_gain_first_order(UNIFORM, qubit_record, 0.0) == 0.0
+
+    @pytest.mark.parametrize("eps", [math.nan, -1.0, -math.inf])
+    def test_refuses_what_the_step_refuses(self, qubit_record, eps):
+        for call in (likelihood_gain_first_order, diluted_step):
+            with pytest.raises(ValidationError, match="eps must be positive"):
+                call(UNIFORM, qubit_record, eps)
 
 
 class TestGCorrectedStep:
@@ -624,13 +639,13 @@ REGRESSION_TABLE = {
     ("qubit", "random", False): ("likelihood_stalled", 19, 0, -37.81243373053271, None),
     ("qubit", "random", True): ("likelihood_stalled", 19, 0, -37.81243373053271, None),
     ("povm2", "rhor", False): ("residual_met", 108, 108, 0.0, None),
-    ("povm2", "rhor", True): ("likelihood_stalled", 276, 276, 0.0, None),
+    ("povm2", "rhor", True): ("likelihood_stalled", 277, 277, 0.0, None),
     ("povm2", "fixed", False): ("residual_met", 164, 0, 113.67613761183104, None),
     ("povm2", "fixed", True): ("max_iterations", 300, 0, 207.94415416798358, None),
     ("povm2", "adaptive", False): ("residual_met", 108, 108, 0.0, None),
-    ("povm2", "adaptive", True): ("likelihood_stalled", 276, 276, 0.0, None),
+    ("povm2", "adaptive", True): ("likelihood_stalled", 277, 277, 0.0, None),
     ("povm2", "linesearch", False): ("residual_met", 108, 108, 0.0, None),
-    ("povm2", "linesearch", True): ("likelihood_stalled", 276, 276, 0.0, None),
+    ("povm2", "linesearch", True): ("likelihood_stalled", 277, 277, 0.0, None),
     ("povm2", "random", False): ("max_iterations", 300, 0, -848.3865398783514, None),
     ("povm2", "random", True): ("max_iterations", 300, 0, -848.3865398783514, None),
     ("povm3", "rhor", False): ("max_iterations", 300, 300, 0.0, None),
@@ -652,7 +667,7 @@ REGRESSION_TABLE = {
         (["best_delta", "reason", "trials"], "no random step size increased the likelihood", 1),
     ),
     ("povm2", "adaptive1", False): (
-        "likelihood_stalled", 205, 205, 0.0,
+        "likelihood_stalled", 211, 211, 0.0,
         (["best_delta", "reason", "smallest_epsilon", "trials"], "no step-size trial increased the likelihood", 2),
     ),
     ("povm2", "random1", False): ("max_iterations", 300, 0, -897.0657185949822, None),

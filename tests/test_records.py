@@ -1,5 +1,6 @@
 """The ``MeasurementRecord`` contract, checked on every kind of record against an independent dense stack: the
-input stack of a counted record, the per-sample ``quadrature_projector`` stack of a homodyne one."""
+input stack of a counted record, the per-sample ``quadrature_projector`` stack of a homodyne one. The kernels are
+compared with per-element loops over that stack, never with another record's kernels."""
 
 import dataclasses
 import re
@@ -35,6 +36,23 @@ FACTORIES = {"complete": _counted(3, 6, 6), "incomplete": _counted(4, 8, 7),
 contract = pytest.mark.parametrize("make", FACTORIES.values(), ids=FACTORIES)
 
 
+def _loop_traces(stack, matrix):
+    return np.array([np.trace(element @ matrix).real for element in stack])
+
+
+def _loop_sum(stack, weights):
+    total = np.zeros(stack.shape[1:], dtype=complex)
+    for weight, element in zip(weights, stack):
+        total += weight * element
+    return total
+
+
+def _matrices(rng, dim):
+    """A density matrix, the same in Fortran order, and a real symmetric float64 matrix: the kernels' inputs."""
+    rho = random_density(rng, dim)
+    return rho, np.asfortranarray(rho), rho.real + rho.real.T
+
+
 def _inputs(record):
     return {f.name: a for f in dataclasses.fields(record) if isinstance(a := getattr(record, f.name), np.ndarray)}
 
@@ -49,20 +67,24 @@ def test_sizes_and_kernels_match_the_dense_reference(make):
         assert record.nbytes >= sum(a.nbytes for a in _inputs(record).values()) + 8 * (2 * record.dim - 1) * grouped
         if record.dim == 15:  # factored: below the dense stack
             assert record.nbytes < reference.nbytes
-    dense = Dataset(elements=reference, counts=record.counts)
     rng = np.random.default_rng(12)
-    rho, weights = random_density(rng, record.dim), rng.uniform(0.0, 2.0, size=record.n_outcomes)
-    tol = sum_tolerance(record)
-    assert np.max(np.abs(record.traces(rho) - dense.traces(rho))) <= 1e-12
-    assert np.max(np.abs(record.weighted_sum(weights) - dense.weighted_sum(weights))) <= tol
-    assert np.max(np.abs(record.element_sum() - dense.element_sum())) <= tol
-    assert np.max(np.abs(r_operator(rho, record) - r_operator(rho, dense))) <= tol
+    weights, tol = rng.uniform(0.0, 2.0, size=record.n_outcomes), sum_tolerance(record)
+    for matrix in _matrices(rng, record.dim):
+        traces = _loop_traces(reference, matrix)
+        assert np.max(np.abs(record.traces(matrix) - traces)) <= 1e-12
+        probs = np.maximum(traces, PROBABILITY_FLOOR)
+        r = _loop_sum(reference, record.counts / (record.total * probs))
+        fused = record.likelihood_terms(matrix)
+        assert np.max(np.abs(fused[0] - traces)) <= 1e-12 and np.max(np.abs(fused[1] - probs)) <= 1e-12
+        assert np.max(np.abs(fused[2] - r)) <= tol and np.max(np.abs(r_operator(matrix, record) - r)) <= tol
+    assert np.max(np.abs(record.weighted_sum(weights) - _loop_sum(reference, weights))) <= tol
+    assert np.max(np.abs(record.element_sum() - _loop_sum(reference, np.ones(record.n_outcomes)))) <= tol
     assert np.max(np.abs(record.elements - reference)) <= 1e-12
     if np.linalg.matrix_rank(reference.sum(axis=0)) < record.dim:  # one rank-1 element at dim > 1
         with pytest.raises(ValidationError, match="singular"):
             GOperator.from_dataset(record)
         return
-    g, g_dense = GOperator.from_dataset(record), GOperator.from_dataset(dense)
+    g, g_dense = GOperator.from_dataset(record), GOperator(_loop_sum(reference, np.ones(record.n_outcomes)))
     assert np.max(np.abs(g.matrix - g_dense.matrix)) <= tol
     assert np.max(np.abs(g.inverse - g_dense.inverse)) <= tol * g.condition
 
