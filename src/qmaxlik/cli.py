@@ -73,8 +73,15 @@ def _stop(result) -> dict:
     return {"termination": result.termination.value, "iterations": result.iterations}
 
 
+def _timed_parse(path, dim) -> tuple:
+    """``io.parse_dataset(path, dim=dim)`` and its wall time in seconds, which the manifest records."""
+    start = time.perf_counter()
+    dataset = io.parse_dataset(path, dim=dim)
+    return dataset, time.perf_counter() - start
+
+
 def cmd_reconstruct(args) -> int:
-    dataset = io.parse_dataset(args.input, dim=args.dim)
+    dataset, parse_seconds = _timed_parse(args.input, args.dim)
     config = _build_config(args)
     out = io.writable_path(args.out)
 
@@ -85,7 +92,8 @@ def cmd_reconstruct(args) -> int:
     io.write_result_json(out, result)
     io.write_manifest(out, args, elapsed, _stop(result),
                       rng_algorithm=RNG_ALGORITHM if args.strategy == "random" else None,
-                      wall_seconds_per_iteration=elapsed / result.iterations if result.iterations else None)
+                      wall_seconds_per_iteration=elapsed / result.iterations if result.iterations else None,
+                      wall_seconds_parse=parse_seconds)
 
     print(
         f"{result.termination.value}: {result.iterations} iterations, "
@@ -132,7 +140,7 @@ def _cached_reference(dataset_path: Path, dataset, max_iters: int, cache_dir: Pa
 
 def cmd_sweep(args) -> int:
     dataset_path = Path(args.input)
-    dataset = io.parse_dataset(dataset_path, dim=args.dim)
+    dataset, parse_seconds = _timed_parse(dataset_path, args.dim)
     epsilons = _parse_float_list(args.epsilons, allow_inf=True)
     tolerances = _parse_float_list(args.tolerances, allow_inf=False)
     out = io.writable_path(args.out)
@@ -156,7 +164,8 @@ def cmd_sweep(args) -> int:
     elapsed = time.perf_counter() - start
 
     io.write_sweep_csv(out, rows)
-    io.write_manifest(out, args, elapsed, {"rows": len(rows), "reference_cache": str(cache_file), "reference": stop})
+    io.write_manifest(out, args, elapsed, {"rows": len(rows), "reference_cache": str(cache_file), "reference": stop},
+                      wall_seconds_parse=parse_seconds)
 
     for row in rows:
         print(f"eps={row.epsilon:g} tol={row.tolerance:g}: {row.iterations} iterations, converged={row.converged}")

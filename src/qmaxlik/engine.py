@@ -260,9 +260,13 @@ def likelihood_gain_first_order(rho, dataset: MeasurementRecord, eps: float) -> 
     the per-measurement log-likelihood; for a record with total weight N the
     raw log-likelihood changes N times faster. eps is refused where
     ``diluted_step`` refuses it, except eps = 0: no step, whose gain is 0.
+    eps = inf, which ``diluted_step`` takes as the plain update, is refused
+    too: a first-order gain has no meaning there.
     """
     if eps != 0.0:
         _check_epsilon(eps)
+        if math.isinf(eps):
+            raise ValidationError("the first-order gain needs a finite eps")
     rho = _check_dims(rho, dataset)
     r = r_operator(rho, dataset)
     return 2.0 * eps * float((r @ rho @ r).trace().real - 1.0)

@@ -183,6 +183,13 @@ class TestFirstOrderGain:
             with pytest.raises(ValidationError, match="eps must be positive"):
                 call(UNIFORM, qubit_record, eps)
 
+    @pytest.mark.parametrize("rho", [MLE, UNIFORM], ids=["maximum", "uniform"])
+    def test_refuses_infinite_eps(self, qubit_record, rho):
+        # it returned NaN at the maximum and +inf at I/2; the step itself takes eps = inf
+        with pytest.raises(ValidationError, match="finite eps"):
+            likelihood_gain_first_order(rho, qubit_record, math.inf)
+        assert np.all(np.isfinite(diluted_step(rho, qubit_record, math.inf)))
+
 
 class TestGCorrectedStep:
     def test_identity_g_matches_diluted(self, qubit_record):

@@ -163,6 +163,86 @@ class TestQuadratureCsvRows:
         np.testing.assert_array_equal(b.xs, a.xs)
 
 
+def _row_loop(path):
+    """What the row loop alone makes of ``path``: its two arrays, or the message of its refusal."""
+    try:
+        return qio._quadrature_rows(path, path.read_bytes().decode("utf-8"))
+    except DataFormatError as exc:
+        return str(exc)
+
+
+class TestQuadratureCsvBulkRead:
+    """A file the bulk read takes gives the row loop's arrays bit for bit; any other gets the row loop's refusal."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "theta,x\n0.0,0.1\n   \n0.5,0.2\n",
+            "theta,x\n0.0,0.1\x1c\n\x1f0.5,0.2\n",
+            "theta,x\n# comment\n0.0,0.1\n",
+            "theta,x\r0.0,0.1\r0.5,-0.2\r",
+            "theta,x\n0.0,0.1\r0.5,-0.2\n",
+            'theta,x\n"0.0","0.1"\n"0.5","-0.2"\n',
+            '"theta","x"\n0.0,0.1\n',
+            "theta,x\n1_0,0.1\n",
+            "theta,x\n\uff11,\uff12\n",
+            "theta,x\n0.0,0.1,\n",
+            "theta,x\n0.0,0.1,0.2\n0.5,0.2,0.3\n",
+            "theta,x\n0.0,0.1\n0.5,0.2,0.3\n",
+            "theta,x\n0.0,\n",
+            "theta,x\n0.0,nan\n",
+            "theta,x\nInfinity,0.1\n",
+            "theta,x\n0.0,1e400\n",
+            "theta,x\n",
+            "theta,x",
+            "theta,x\n\n \n",
+            "theta,x\n0.5,-1.25\n",
+            "theta,x\n0.5,-1.25",
+            "\ufefftheta,x\n0.0,0.1\n",
+            " theta , x \n0.0,0.1\n",
+            "theta,x\r\n0.0,0.1\r\n\r\n0.5,-0.2\r\n",
+            "theta,x\n 0.5 ,\t-0.2 \n\n",
+            "theta,x\n-0.0,5e-324\n2.2250738585072011e-308,0.1234567890123456789012345\n",
+            None,
+        ],
+        ids=["whitespace-line", "ascii-separators", "hash-line", "lone-cr", "one-lone-cr", "quoted-fields",
+             "quoted-header", "underscore", "full-width-digits", "trailing-comma", "three-columns",
+             "three-columns-last-row", "empty-field", "nan", "Infinity", "overflow", "header-only",
+             "header-no-newline", "blank-body", "one-row", "one-row-no-newline", "utf8-bom", "spaced-header",
+             "crlf", "spaced-values", "subnormal-and-25-digits", "20000-samples"],
+    )
+    def test_reads_as_the_row_loop(self, tmp_path, capsys, text):
+        path = tmp_path / "q.csv"
+        if text is None:
+            rng = np.random.default_rng(5)
+            qio.write_quadrature_csv(path, rng.uniform(0.0, np.pi, 20_000), rng.normal(size=20_000))
+        else:
+            path.write_bytes(text.encode())
+        expected = _row_loop(path)
+        if isinstance(expected, str):
+            with pytest.raises(DataFormatError) as excinfo:
+                qio.parse_quadrature_csv(path)
+            assert str(excinfo.value) == expected
+            assert main(["reconstruct", str(path), "--dim", "2", "--out", str(tmp_path / "o.json")]) == 2
+            assert capsys.readouterr().err == f"parse error: {expected}\n"
+        else:
+            got = qio.parse_quadrature_csv(path)
+            assert [a.dtype for a in got] == [np.float64, np.float64]
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
+
+    def test_clean_file_never_reaches_the_row_loop(self, tmp_path, monkeypatch):
+        path = tmp_path / "q.csv"
+        thetas, xs = np.repeat([0.0, 0.5], 3), np.array([0.1, -0.2, 5e-324, -0.0, 1e300, 2.5])
+        qio.write_quadrature_csv(path, thetas, xs)
+
+        def refuse(*args):
+            raise AssertionError("the row loop was reached")
+
+        monkeypatch.setattr(qio, "_quadrature_rows", refuse)
+        got = qio.parse_quadrature_csv(path)
+        assert [a.tobytes() for a in got] == [thetas.tobytes(), xs.tobytes()]
+
+
 class TestCliReconstruct:
     def test_fixed_epsilon_reaches_analytic_maximum(self, tmp_path, counterexample_json):
         out = tmp_path / "result.json"
@@ -642,7 +722,7 @@ class TestCliSweep:
 
 
 _MANIFEST_KEYS = ["command", "input_path", "output_paths", "config", "seed", "rng_algorithm",
-                  "wall_seconds_total", "wall_seconds_per_iteration", "extra"]
+                  "wall_seconds_total", "wall_seconds_per_iteration", "wall_seconds_parse", "extra"]
 _TOLERANCES = {"tol_residual": 1e-8, "tol_element": 1e-10, "tol_loglik": 1e-13}
 
 
@@ -659,6 +739,8 @@ class TestManifest:
                               parse_constant=_not_json)  # strict JSON: no Infinity or NaN
         assert list(manifest) == _MANIFEST_KEYS
         assert manifest.pop("wall_seconds_total") >= 0
+        parse = manifest.pop("wall_seconds_parse")  # the time io.parse_dataset took; simulate parses no dataset
+        assert parse is None if manifest["command"] == "simulate" else parse >= 0
         return manifest, manifest.pop("wall_seconds_per_iteration")
 
     def test_reconstruct(self, tmp_path, counterexample_json):
