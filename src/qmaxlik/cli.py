@@ -27,7 +27,7 @@ from .engine import (
     ReconstructionConfig,
     reconstruct,
 )
-from .errors import ConvergenceError, DataFormatError, ValidationError, check_int
+from .errors import ConvergenceError, DataFormatError, ValidationError, check_int, check_positive
 from .povm import projector_from_state
 from .simulate import PRESETS, RNG_ALGORITHM, SimulationSpec, preset_state, sample_counts, sample_quadratures
 from .sweep import DEFAULT_MAX_ITERATIONS, check_reference, reference_solution, sweep_iteration_counts
@@ -104,7 +104,7 @@ def cmd_reconstruct(args) -> int:
 
 
 def _parse_float_list(text: str, allow_inf: bool) -> list[float]:
-    """Comma-separated positive numbers; a non-numeric token is a parse error."""
+    """Comma-separated positive numbers, finite unless ``allow_inf``; a non-numeric token is a parse error."""
     values = []
     for token in text.split(","):
         token = token.strip()
@@ -114,28 +114,10 @@ def _parse_float_list(text: str, allow_inf: bool) -> list[float]:
             value = float(token)
         except ValueError:
             raise DataFormatError(f"{token!r} is not a number") from None
-        if not value > 0:
-            raise ValidationError(f"{token!r}: values must be positive")
-        if math.isinf(value) and not allow_inf:
-            raise ValidationError("inf is not allowed here")
-        values.append(value)
+        values.append(check_positive(value, f"list entry {token!r}", finite=not allow_inf))
     if not values:
         raise ValidationError("empty list")
     return values
-
-
-def _cached_reference(dataset_path: Path, dataset, max_iters: int, cache_dir: Path):
-    """The cached reference for this input and solve with its stop and gap, or a miss, and its cache file."""
-    key = f"|dim={dataset.dim}|max_iters={max_iters}|solver={SOLVER_DIGEST}"
-    digest = hashlib.sha256(dataset_path.read_bytes() + key.encode()).hexdigest()
-    cache_file = cache_dir / f"reference-{digest[:24]}.json"
-    if cache_file.exists():
-        try:
-            estimate, stop = io.parse_result(cache_file)
-            return estimate, {**stop, "certified_gap": check_reference(estimate, dataset)}, cache_file
-        except (DataFormatError, ValidationError):
-            pass  # an entry that does not parse or that check_reference refuses; the fresh solve overwrites it
-    return None, None, cache_file
 
 
 def cmd_sweep(args) -> int:
@@ -147,8 +129,13 @@ def cmd_sweep(args) -> int:
     cache_dir = io.writable_directory(args.cache_dir or out.parent / ".sweep-cache")
 
     start = time.perf_counter()
-    reference, stop, cache_file = _cached_reference(dataset_path, dataset, args.max_iters, cache_dir)
-    if reference is None:
+    key = f"|dim={dataset.dim}|max_iters={args.max_iters}|solver={SOLVER_DIGEST}"
+    digest = hashlib.sha256(dataset_path.read_bytes() + key.encode()).hexdigest()
+    cache_file = cache_dir / f"reference-{digest[:24]}.json"
+    try:
+        reference, stop = io.parse_result(cache_file)
+        stop["certified_gap"] = check_reference(reference, dataset)
+    except (DataFormatError, ValidationError):  # missing, unreadable, damaged or refused: solved again, rewritten
         try:
             ref_result = reference_solution(dataset, max_iterations=args.max_iters)
         except ConvergenceError as exc:

@@ -30,7 +30,7 @@ from typing import ClassVar, NamedTuple
 import numpy as np
 
 from .dataset import PROBABILITY_FLOOR, GOperator, MeasurementRecord, QuadratureDataset
-from .errors import ValidationError, check_int
+from .errors import ValidationError, check_int, check_positive
 from .operators import _hermitian_part, _unit_trace, hermitize
 
 CYCLE_ATOL = 1e-10
@@ -68,8 +68,7 @@ class FixedEpsilon(EpsilonStrategy):
     epsilon: float
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ValidationError("epsilon must be positive")
+        check_positive(self.epsilon, "epsilon", finite=False)
 
     def _trials(self, dataset, g):
         return lambda state: (_trial(state, dataset, g, self.epsilon),)
@@ -109,10 +108,8 @@ class RandomEpsilon(EpsilonStrategy):
     _stall_reason = "no random step size increased the likelihood"
 
     def __post_init__(self):
-        if not self.epsilon_max > RANDOM_EPSILON_MIN:
+        if not check_positive(self.epsilon_max, "epsilon_max") > RANDOM_EPSILON_MIN:
             raise ValidationError("epsilon_max must exceed the 1e-4 lower sampling bound")
-        if math.isinf(self.epsilon_max):
-            raise ValidationError("epsilon_max must be finite")
         check_int(self.seed, "seed", minimum=0)
 
     def _trials(self, dataset, g):
@@ -147,8 +144,8 @@ class ReconstructionConfig:
     g_correction: bool = False
 
     def __post_init__(self):
-        if not all(0 < tol < math.inf for tol in (self.tol_residual, self.tol_element, self.tol_loglik)):
-            raise ValidationError("stopping tolerances must be positive and finite")
+        for name in ("tol_residual", "tol_element", "tol_loglik"):
+            check_positive(getattr(self, name), name)
         check_int(self.max_iterations, "max_iterations")
 
 
@@ -183,11 +180,6 @@ def _check_dims(rho: np.ndarray, dataset: MeasurementRecord) -> np.ndarray:
     if not np.all(np.isfinite(rho)):  # as normalize refuses a non-finite matrix, before any kernel reads it
         raise ValidationError("state is not normalizable: it has non-finite entries")
     return rho
-
-
-def _check_epsilon(eps: float) -> None:
-    if not eps > 0:
-        raise ValidationError("eps must be positive")
 
 
 @functools.lru_cache(maxsize=None)
@@ -235,7 +227,7 @@ def diluted_step(rho, dataset: MeasurementRecord, eps: float, g: GOperator | Non
     maximum-likelihood state is a fixed point for every eps, and G = identity
     reduces the map to the uncorrected one exactly.
     """
-    _check_epsilon(eps)
+    check_positive(eps, "eps", finite=False)
     rho = _check_dims(rho, dataset)
     return _apply_map(rho, _direction(r_operator(rho, dataset), g), eps)
 
@@ -258,15 +250,12 @@ def likelihood_gain_first_order(rho, dataset: MeasurementRecord, eps: float) -> 
     Non-negative for every state by the Cauchy-Schwarz inequality, and zero
     exactly at the maximum-likelihood state. The value is the derivative of
     the per-measurement log-likelihood; for a record with total weight N the
-    raw log-likelihood changes N times faster. eps is refused where
-    ``diluted_step`` refuses it, except eps = 0: no step, whose gain is 0.
-    eps = inf, which ``diluted_step`` takes as the plain update, is refused
-    too: a first-order gain has no meaning there.
+    raw log-likelihood changes N times faster. eps must be positive and
+    finite, or 0: no step, whose gain is 0. eps = inf, which ``diluted_step``
+    takes as the plain update, is refused: a first-order gain has no meaning there.
     """
-    if eps != 0.0:
-        _check_epsilon(eps)
-        if math.isinf(eps):
-            raise ValidationError("the first-order gain needs a finite eps")
+    if isinstance(eps, bool) or eps != 0.0:
+        check_positive(eps, "eps")
     rho = _check_dims(rho, dataset)
     r = r_operator(rho, dataset)
     return 2.0 * eps * float((r @ rho @ r).trace().real - 1.0)

@@ -132,11 +132,15 @@ def _matrix_parts(m: np.ndarray) -> tuple[list[list[float]], list[list[float]]]:
 
 
 def _checked_parts(re, im, dim: int, where: str) -> tuple[np.ndarray, np.ndarray]:
+    """re/im as (dim, dim) float arrays. One that numpy does not read as numbers is refused: strings, booleans
+    and null, which a float conversion would take as numbers or NaN, and ragged rows."""
     try:
-        real = np.asarray(re, dtype=np.float64)
-        imag = np.asarray(im, dtype=np.float64)
+        real, imag = np.asarray(re), np.asarray(im)
     except (TypeError, ValueError) as exc:
         raise DataFormatError(f"{where}: re/im are not numeric arrays ({exc})") from exc
+    if real.dtype.kind not in "iuf" or imag.dtype.kind not in "iuf":
+        raise DataFormatError(f"{where}: re/im are not numeric arrays (numpy reads {real.dtype} and {imag.dtype})")
+    real, imag = real.astype(np.float64, copy=False), imag.astype(np.float64, copy=False)
     if real.shape != (dim, dim) or imag.shape != (dim, dim):
         raise DataFormatError(
             f"{where}: expected {dim}x{dim} re/im arrays, got {real.shape} and {imag.shape}"
@@ -185,9 +189,10 @@ def _parse_counts_json(path: Path) -> Dataset:
         if not isinstance(record, dict):
             raise DataFormatError(f"{where}: must be an object")
         try:
-            counts[k] = float(record["count"])
-            re, im = record["re"], record["im"]
-        except (KeyError, TypeError, ValueError) as exc:
+            if type(count := record["count"]) not in (int, float):  # JSON's "3" and true are not numbers
+                raise TypeError(f"count {count!r}")
+            counts[k], re, im = count, record["re"], record["im"]
+        except (KeyError, TypeError, OverflowError) as exc:  # OverflowError: an integer beyond a float
             raise DataFormatError(f"{where}: need 're', 'im', and numeric 'count' ({exc})") from exc
         parts.append(_checked_parts(re, im, dim, where))
     stack = np.array(parts)  # (k, 2, dim, dim)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_positive
 
 HERMITICITY_ATOL = 1e-12
 PSD_ATOL = 1e-8
@@ -76,6 +76,7 @@ def validate_density(m, tol: float = PSD_ATOL) -> np.ndarray:
 
     Returns the validated matrix unchanged so the call can be chained.
     """
+    check_positive(tol, "tol")
     a = as_operator(m)
     tr = a.trace().real
     if abs(tr - 1.0) > tol:

@@ -25,7 +25,7 @@ from .engine import (
     certified_gap,
     reconstruct,
 )
-from .errors import ConvergenceError, ValidationError, check_int
+from .errors import ConvergenceError, ValidationError, check_int, check_positive
 from .operators import validate_density
 
 REFERENCE_TOLERANCE = 1e-10
@@ -79,12 +79,10 @@ def sweep_iteration_counts(
     before crossing gets converged = False and the iteration it stopped at:
     the step that closed the cycle, or max_iterations.
     """
-    eps_list = sorted({float(e) for e in epsilons})
-    tol_list = sorted({float(t) for t in tolerances})
+    eps_list = sorted({float(check_positive(e, "eps", finite=False)) for e in epsilons})
+    tol_list = sorted({float(check_positive(t, "tolerance")) for t in tolerances})
     if not eps_list or not tol_list:
         raise ValidationError("need at least one eps and one tolerance")
-    if not all(x > 0 for x in eps_list + tol_list) or np.isinf(tol_list[-1]):
-        raise ValidationError("eps values and tolerances must be positive, and tolerances finite")
     check_int(max_iterations, "max_iterations")
     reference = np.asarray(reference)
     if reference.shape != (dataset.dim, dataset.dim) or not np.all(np.isfinite(reference)):

@@ -1,8 +1,10 @@
 """Shared random-instance generators for the test suite."""
 
+import functools
+
 import numpy as np
 
-from qmaxlik import Dataset, QuadratureDataset
+from qmaxlik import Dataset, QuadratureDataset, quadrature_projector
 from qmaxlik.dataset import POOLED_BELOW
 
 
@@ -73,3 +75,32 @@ def phase_layouts(rng):
                         np.insert(POOLED_BELOW + np.arange(30) * 7 % 37, 15, 4000))
     layouts = {"few": few, "distinct": rng.uniform(0.0, np.pi, 150), "mix": mix, "single": [0.8], "unequal": unequal}
     return {name: rng.permutation(thetas) for name, thetas in layouts.items()}
+
+
+CASE_DIMS = (1, 5, 15, 30)  # the truncations at which every layout's record is checked
+
+
+@functools.cache
+def homodyne_case(layout, dim):
+    """The record of a ``phase_layouts`` layout at ``dim`` that the record contract checks, and its dense reference:
+    the (samples, dim, dim) stack of each sample's ``quadrature_projector``, read-only. Both come from seed 11,
+    so every dim has the same samples, and are built once per session: the stack is built at the largest dim, and a
+    smaller dim's stack is its leading dim x dim block, as a truncation keeps the first Fock amplitudes bit for bit.
+    (The unequal layout's stack takes 6,449 projector calls and 93 MB at dim 30.)"""
+    rng = np.random.default_rng(11)
+    record = quadrature_record(rng, phase_layouts(rng)[layout], dim)
+    if dim < max(CASE_DIMS):
+        return record, homodyne_case(layout, max(CASE_DIMS))[1][:, :dim, :dim]
+    stack = np.empty((record.n_outcomes, dim, dim), dtype=complex)  # filled in place: no list of 6,449 arrays
+    for k, (theta, x) in enumerate(zip(record.thetas, record.xs)):
+        stack[k] = quadrature_projector(theta, x, dim)
+    stack.flags.writeable = False
+    return record, stack
+
+
+def max_difference(stack, reference, order=None, chunk=64):
+    """max |stack[k] - reference[order[k]]| over a (k, dim, dim) stack (order: input order by default), taken
+    ``chunk`` elements at a time, so that no temporary the size of the stack is made; NaN if either holds one."""
+    parts = (slice(k, k + chunk) for k in range(0, len(stack), chunk))
+    return float(np.max([np.abs(stack[part] - reference[part if order is None else order[part]]).max()
+                         for part in parts]))

@@ -12,6 +12,7 @@ from qmaxlik import (
     SimulationSpec,
     ValidationError,
     counterexample_dataset,
+    hermitize,
     outcome_probabilities,
     preset_state,
     quadrature_dataset,
@@ -21,8 +22,9 @@ from qmaxlik import (
     sample_quadratures,
 )
 from qmaxlik import dataset
-from qmaxlik.dataset import POOLED_BELOW, product_basis, product_table, wavefunction_table
-from support import phase_layouts, quadrature_record, random_dataset, random_density, sum_tolerance
+from qmaxlik.dataset import POOLED_BELOW, PROBABILITY_FLOOR, product_basis, product_table, wavefunction_table
+from support import (CASE_DIMS, homodyne_case, max_difference, phase_layouts, quadrature_record, random_dataset,
+                     random_density, sum_tolerance)
 
 
 class TestDataset:
@@ -141,12 +143,6 @@ class TestGOperator:
             GOperator.from_dataset(d)
 
 
-def _dense(record):
-    """The same record as an explicit element stack, one projector per sample."""
-    stack = [quadrature_projector(t, x, record.dim) for t, x in zip(record.thetas, record.xs)]
-    return Dataset(elements=np.stack(stack), counts=record.counts)
-
-
 class TestQuadratureDataset:
     def test_owns_its_arrays(self):
         thetas, xs, counts = np.zeros(3), np.array([0.0, 0.5, 1.0]), np.ones(3)
@@ -161,27 +157,35 @@ class TestQuadratureDataset:
 
     @pytest.mark.parametrize("layout", ["few", "distinct", "mix", "single", "unequal"])
     def test_kernels_match_element_stack(self, layout):
+        """The record's kernels against those of counted Datasets on its per-sample projector stack, the record
+        contract's cached one: one Dataset per 256 projectors, so no stack-sized copy is made."""
         rng = np.random.default_rng(11)
-        thetas = phase_layouts(rng)[layout]
-        for dim in (1, 5, 15, 30):
-            record = quadrature_record(rng, thetas, dim)
-            dense = _dense(record)
+        for dim in CASE_DIMS:
+            record, stack = homodyne_case(layout, dim)
             grouped, pooled = len(record._slabs) > 0, len(record._chi) > 0
             assert (grouped, pooled) == {"few": (True, False), "distinct": (False, True), "mix": (True, True),
                                          "single": (False, True), "unequal": (True, False)}[layout]
             rho = random_density(rng, dim)
             weights = rng.uniform(0.0, 2.0, size=record.n_outcomes)
             tol = sum_tolerance(record)
-            assert np.max(np.abs(record.traces(rho) - dense.traces(rho))) <= 1e-12
-            assert np.max(np.abs(record.weighted_sum(weights) - dense.weighted_sum(weights))) <= tol
-            assert np.max(np.abs(record.element_sum() - dense.element_sum())) <= tol
-            assert np.max(np.abs(r_operator(rho, record) - r_operator(rho, dense))) <= tol
-            assert np.max(np.abs(record.elements - dense.elements)) <= 1e-12
+            assert max_difference(record.elements, stack) <= 1e-12
+            traces, sums = [], np.zeros((3, dim, dim), dtype=complex)  # of the weights, of ones, and R
+            for start in range(0, record.n_outcomes, 256):
+                part = slice(start, start + 256)
+                dense = Dataset(elements=stack[part], counts=record.counts[part])
+                traces.append(dense.traces(rho))
+                probs = np.maximum(traces[-1], PROBABILITY_FLOOR)
+                sums += [dense.weighted_sum(w) for w in (weights[part], np.ones(dense.n_outcomes),
+                                                          dense.counts / (record.total * probs))]
+            assert np.max(np.abs(record.traces(rho) - np.concatenate(traces))) <= 1e-12
+            assert np.max(np.abs(record.weighted_sum(weights) - sums[0])) <= tol
+            assert np.max(np.abs(record.element_sum() - sums[1])) <= tol
+            assert np.max(np.abs(r_operator(rho, record) - hermitize(sums[2]))) <= tol
             if layout == "single" and dim > 1:  # one rank-1 element: G cannot be inverted
                 with pytest.raises(ValidationError, match="singular"):
                     GOperator.from_dataset(record)
             else:
-                g, g_dense = GOperator.from_dataset(record), GOperator.from_dataset(dense)
+                g, g_dense = GOperator.from_dataset(record), GOperator(sums[1])
                 assert np.max(np.abs(g.matrix - g_dense.matrix)) <= tol
                 assert np.max(np.abs(g.inverse - g_dense.inverse)) <= tol * g.condition
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -27,7 +28,10 @@ from qmaxlik import (
     quadrature_dataset,
     r_operator,
     reconstruct,
+    sweep_iteration_counts,
+    validate_density,
 )
+from qmaxlik.errors import check_positive
 from support import (
     phase_layouts,
     quadrature_record,
@@ -186,7 +190,7 @@ class TestFirstOrderGain:
     @pytest.mark.parametrize("rho", [MLE, UNIFORM], ids=["maximum", "uniform"])
     def test_refuses_infinite_eps(self, qubit_record, rho):
         # it returned NaN at the maximum and +inf at I/2; the step itself takes eps = inf
-        with pytest.raises(ValidationError, match="finite eps"):
+        with pytest.raises(ValidationError, match="eps must be finite"):
             likelihood_gain_first_order(rho, qubit_record, math.inf)
         assert np.all(np.isfinite(diluted_step(rho, qubit_record, math.inf)))
 
@@ -462,6 +466,17 @@ def test_negative_gain_halves_t(monkeypatch, qubit_record):
     assert eps == pytest.approx(c * gain / (1 - gain), rel=1e-9)
 
 
+@pytest.mark.parametrize("strategy", [AdaptiveBackoff(), RandomEpsilon(seed=3)])
+def test_iteration_ends_at_its_stall(strategy):
+    """Equal counts on a basis have their maximum at the starting state 1/dim, so no trial raises the objective
+    by more than rounding: the run stalls within a few steps, and its last state is the stall, the only one."""
+    record = Dataset(elements=np.stack([np.diag(row) for row in np.eye(3)]).astype(complex), counts=np.ones(3))
+    states = list(engine._iterate(record, strategy, None, 10))
+    assert len(states) <= 10 and [state.stall is not None for state in states] == [False] * (len(states) - 1) + [True]
+    assert states[-1].stall["reason"] == strategy._stall_reason
+    np.testing.assert_array_equal(states[-1].rho, states[-2].rho)
+
+
 @pytest.mark.parametrize("strategy", [AdaptiveBackoff(), FixedEpsilon(1.0), RandomEpsilon(seed=3)])
 def test_yielded_traces_outlive_later_iterations(strategy):
     """A state keeps the traces it was yielded with: later iterations allocate their own and never overwrite them."""
@@ -479,8 +494,62 @@ def test_yielded_traces_outlive_later_iterations(strategy):
 @pytest.mark.parametrize("value", [math.nan, 0.0, -1e-8, math.inf])
 @pytest.mark.parametrize("name", ["tol_residual", "tol_element", "tol_loglik"])
 def test_config_rejects_non_positive_tolerance(name, value):
-    with pytest.raises(ValidationError, match="tolerances"):
+    with pytest.raises(ValidationError, match=f"^{name} must be {'finite' if value == math.inf else 'positive'}$"):
         ReconstructionConfig(**{name: value})
+
+
+class TestCheckPositive:
+    """``errors.check_positive``, the one rule for every step size and tolerance, and each argument it checks."""
+
+    @pytest.mark.parametrize("value", [3, 0.25, 1e308, np.float64(1e-12), np.float32(0.5), np.int64(7)])
+    def test_returns_a_positive_real_unchanged(self, value):
+        assert check_positive(value, "x") is value
+        assert check_positive(value, "x", finite=False) is value
+
+    def test_infinity_only_where_allowed(self):
+        assert check_positive(math.inf, "eps", finite=False) == math.inf
+        with pytest.raises(ValidationError, match="^eps must be finite$"):
+            check_positive(np.float64(math.inf), "eps")
+
+    @pytest.mark.parametrize("value, message", [
+        (True, "x must be a number, got True"), (np.bool_(True), "x must be a number, got np.True_"),
+        ("1", "x must be a number, got '1'"), (None, "x must be a number, got None"),
+        (1j, "x must be a number, got 1j"), (np.array(1.0), "x must be a number, got array(1.)"),
+        (math.nan, "x must be positive"), (0, "x must be positive"), (-0.0, "x must be positive"),
+        (-math.inf, "x must be positive"), (np.float64(-2.0), "x must be positive"),
+    ])
+    @pytest.mark.parametrize("finite", [True, False])
+    def test_refuses(self, value, message, finite):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            check_positive(value, "x", finite=finite)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: ReconstructionConfig(tol_residual=True), "tol_residual must be a number, got True"),
+        (lambda: ReconstructionConfig(tol_loglik="1e-13"), "tol_loglik must be a number, got '1e-13'"),
+        (lambda: FixedEpsilon(True), "epsilon must be a number, got True"),
+        (lambda: FixedEpsilon("1"), "epsilon must be a number, got '1'"),
+        (lambda: RandomEpsilon(epsilon_max="5"), "epsilon_max must be a number, got '5'"),
+        (lambda: RandomEpsilon(epsilon_max=-1.0), "epsilon_max must be positive"),
+        (lambda: diluted_step(UNIFORM, counterexample_dataset(), True), "eps must be a number, got True"),
+        (lambda: likelihood_gain_first_order(UNIFORM, counterexample_dataset(), False), "eps must be a number"),
+        (lambda: sweep_iteration_counts(counterexample_dataset(), MLE, ["a"], [1e-3]), "eps must be a number"),
+        (lambda: sweep_iteration_counts(counterexample_dataset(), MLE, [1.0], ["1"]), "tolerance must be a number"),
+        (lambda: sweep_iteration_counts(counterexample_dataset(), MLE, [True], [1e-3]), "eps must be a number"),
+        (lambda: validate_density(MLE, tol=0.0), "tol must be positive"),
+        (lambda: validate_density(MLE, tol=math.nan), "tol must be positive"),
+    ], ids=lambda x: x if isinstance(x, str) else None)
+    def test_every_argument_goes_through_it(self, call, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}"):
+            call()
+
+    def test_arguments_are_stored_as_given(self):
+        assert type(FixedEpsilon(np.float32(0.5)).epsilon) is np.float32 and FixedEpsilon(2).epsilon == 2
+        assert type(RandomEpsilon(epsilon_max=5).epsilon_max) is int
+        config = ReconstructionConfig(tol_residual=np.float64(1e-9), tol_element=1, tol_loglik=1e-300)
+        assert (type(config.tol_residual), config.tol_element, config.tol_loglik) == (np.float64, 1, 1e-300)
+        rows = sweep_iteration_counts(counterexample_dataset(), MLE, [np.int64(1), math.inf], [np.float32(1e-3)])
+        assert [(row.epsilon, row.tolerance) for row in rows] == [(1.0, float(np.float32(1e-3))), (math.inf,
+                                                                  float(np.float32(1e-3)))]
 
 
 @pytest.mark.parametrize("value", [2.5, True, np.float64(3.0)])

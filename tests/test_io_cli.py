@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -92,9 +93,20 @@ class TestDatasetRoundTrip:
              "{path}: element 0: re/im are not numeric arrays"),
             ("data.json", {"dim": 2, "elements": [{**_ELEMENT, "im": [[0.0, 0.0]]}]},
              "{path}: element 0: expected 2x2 re/im arrays, got (2, 2) and (1, 2)"),
+            # JSON numbers must be numbers: a float conversion took each of these as one
+            ("data.json", {"dim": 2, "elements": [_ELEMENT, {**_ELEMENT, "count": "3"}]},
+             "{path}: element 1: need 're', 'im', and numeric 'count' (count '3')"),
+            ("data.json", {"dim": 2, "elements": [{**_ELEMENT, "count": True}]},
+             "{path}: element 0: need 're', 'im', and numeric 'count' (count True)"),
+            ("data.json", {"dim": 2, "elements": [{**_ELEMENT, "re": [["1", 0.0], [0.0, 1.0]]}]},
+             "{path}: element 0: re/im are not numeric arrays (numpy reads <U"),
+            ("data.json", {"dim": 2, "elements": [_ELEMENT, {**_ELEMENT, "im": [[False, False], [False, False]]}]},
+             "{path}: element 1: re/im are not numeric arrays (numpy reads float64 and bool)"),
+            ("data.json", {"dim": 2, "elements": [{**_ELEMENT, "re": [[None, 0.0], [0.0, 1.0]]}]},
+             "{path}: element 0: re/im are not numeric arrays (numpy reads object and float64)"),
         ],
         ids=["extension", "no-dim", "dim-zero", "no-elements", "element-not-object", "no-count", "re-not-numeric",
-             "im-wrong-shape"],
+             "im-wrong-shape", "count-string", "count-bool", "re-string", "im-bool", "re-null"],
     )
     def test_malformed_dataset_file_rejected(self, tmp_path, name, payload, message):
         path = tmp_path / name
@@ -627,11 +639,24 @@ class TestCliSweep:
             ("--tolerances", ",", 3),
         ],
     )
-    def test_bad_list_flag_rejected(self, tmp_path, counterexample_json, flag, value, code):
+    def test_bad_list_flag_rejected(self, tmp_path, capsys, counterexample_json, flag, value, code):
         out = tmp_path / "sweep.csv"
         argv = ["sweep", str(counterexample_json), f"{flag}={value}", "--max-iters", "50", "--out", str(out)]
         assert main(argv) == code
+        err = capsys.readouterr().err
+        assert err.startswith({2: "parse error: ", 3: "validation error: "}[code]) and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--epsilons", "1,-inf", "validation error: list entry '-inf' must be positive"),
+        ("--tolerances", "1e-3, nan", "validation error: list entry 'nan' must be positive"),
+        ("--tolerances", "1e-3,inf", "validation error: list entry 'inf' must be finite"),
+        ("--tolerances", "1e-3,true", "parse error: 'true' is not a number"),
+    ])
+    def test_bad_list_entry_is_named(self, tmp_path, capsys, counterexample_json, flag, value, message):
+        argv = ["sweep", str(counterexample_json), f"{flag}={value}", "--out", str(tmp_path / "sweep.csv")]
+        assert main(argv) in (2, 3)
+        assert capsys.readouterr().err == message + "\n"
 
     def test_truncated_cache_is_rewritten(self, tmp_path, counterexample_json):
         cache = tmp_path / "cache"
@@ -1040,6 +1065,49 @@ class TestJsonDim:
         assert main(args + ["--out", str(warm)]) == 0
         assert warm.read_bytes() == cold.read_bytes()
         assert cached.read_bytes() == intact
+
+
+class TestJsonNumbers:
+    """A 'count' or a re/im entry is a JSON number in every JSON reader: a string or a boolean, which a float
+    conversion would take as one, is a parse error naming the element (exit 2, one line)."""
+
+    @pytest.mark.parametrize("command, payload, message", [
+        ("reconstruct", {"dim": 2, "elements": [_ELEMENT, {**_ELEMENT, "count": "3"}]},
+         "element 1: need 're', 'im', and numeric 'count' (count '3')"),
+        ("reconstruct", {"dim": 2, "elements": [{**_ELEMENT, "count": False}]},
+         "element 0: need 're', 'im', and numeric 'count' (count False)"),
+        ("reconstruct", {"dim": 2, "elements": [{**_ELEMENT, "im": [[True, False], [False, True]]}]},
+         "element 0: re/im are not numeric arrays (numpy reads float64 and bool)"),
+        ("simulate", {"dim": 2, "re": [[1, 0], [0, "0"]], "im": [[0, 0], [0, 0]]},
+         "re/im are not numeric arrays (numpy reads <U"),
+        ("simulate", {"dim": 2, "re": [[1, 0], [0, 0]], "im": [[False, False], [False, False]]},
+         "re/im are not numeric arrays (numpy reads int64 and bool)"),
+    ], ids=["count-string", "count-bool", "im-bool", "state-re-string", "state-im-bool"])
+    def test_exits_two_with_one_line(self, tmp_path, capsys, command, payload, message):
+        path, out = tmp_path / "input.json", tmp_path / "out.csv"
+        path.write_text(json.dumps(payload))
+        argv = ([command, str(path)] if command == "reconstruct" else [command, "--state-file", str(path), "--n", "10"])
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"parse error: {path}: {message}") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("part, value", [("re", [["1"]]), ("im", [[False]])])
+    def test_result_estimate(self, tmp_path, part, value):
+        path = tmp_path / "result.json"
+        estimate = {"re": [[1.0]], "im": [[0.0]], part: value}
+        path.write_text(json.dumps({"dim": 1, "estimate": estimate, "termination": "residual_met", "iterations": 1}))
+        with pytest.raises(DataFormatError, match=f"{re.escape(str(path))}: re/im are not numeric arrays"):
+            qio.parse_result(path)
+
+    def test_integers_and_floats_read_as_before(self, tmp_path):
+        path = tmp_path / "ints.json"
+        ints = {"re": [[1, 0], [0, 0]], "im": [[0, 0], [0, 0]], "count": 3}
+        path.write_text(json.dumps({"dim": 2, "elements": [ints, {**_ELEMENT, "re": [[0, 0.0], [0, 1]], "count": 2.5}]}))
+        record = qio.parse_dataset(path)
+        np.testing.assert_array_equal(record.counts, [3.0, 2.5])
+        np.testing.assert_array_equal(record.elements, [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+        assert record.counts.dtype == np.float64 and record.elements.dtype == np.complex128
 
 
 class TestImpossibleOutcome:

@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmaxlik import (
+    Dataset,
+    certified_gap,
     diluted_step,
     likelihood_gain_first_order,
     log_likelihood,
@@ -14,7 +16,7 @@ from qmaxlik import (
     r_operator,
     validate_density,
 )
-from support import phase_layouts, quadrature_record, random_density, random_instance
+from support import phase_layouts, quadrature_record, random_density, random_instance, random_pure_state
 
 
 def _instance(seed, dim, kind):
@@ -97,3 +99,22 @@ def test_probabilities_positive_even_for_pure_states(seed):
     pure = np.outer(vectors[:, -1], vectors[:, -1].conj())  # rank-1 edge case
     probs = outcome_probabilities(pure, d)
     assert np.all(probs >= 1e-12)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 8), near_pure=st.booleans())
+def test_certified_gap_bounds_the_likelihood_gap(seed, dim, near_pure):
+    """0 <= L* - L(rho) <= certified_gap(rho) (Glancy, Knill & Girard, New J. Phys. 14, 095017 (2012)) on diagonal
+    projective records, whose maximum diag(f/N) has L* = sum f log(f/N), and certified_gap(diag(f/N)) is 0."""
+    rng = np.random.default_rng(seed)
+    counts = rng.uniform(0.5, 50.0, size=dim)
+    record, total = Dataset(elements=np.stack([np.diag(row) for row in np.eye(dim)]), counts=counts), counts.sum()
+    best = float(counts @ np.log(counts / total))
+    if near_pure:  # smallest eigenvalue 1e-6 to 1e-3, so no probability is floored
+        psi, lowest = random_pure_state(rng, dim), 10.0 ** rng.uniform(-6.0, -3.0)
+        rho = (1.0 - dim * lowest) * np.outer(psi, psi.conj()) + lowest * np.eye(dim)
+    else:
+        rho = random_density(rng, dim)
+    allowance = 1e-9 * total
+    assert -allowance <= best - log_likelihood(rho, record) <= certified_gap(rho, record) + allowance
+    assert abs(certified_gap(np.diag(counts / total), record)) <= allowance

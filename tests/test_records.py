@@ -3,37 +3,47 @@ input stack of a counted record, the per-sample ``quadrature_projector`` stack o
 compared with per-element loops over that stack, never with another record's kernels."""
 
 import dataclasses
+import functools
 import re
 
 import numpy as np
 import pytest
 
-from qmaxlik import (Dataset, GOperator, QuadratureDataset, ValidationError, counterexample_dataset,
-                     quadrature_projector, r_operator)
+from qmaxlik import Dataset, GOperator, QuadratureDataset, ValidationError, counterexample_dataset, r_operator
 from qmaxlik.dataset import PROBABILITY_FLOOR
-from support import phase_layouts, quadrature_record, random_complete_povm, random_density, sum_tolerance
+from support import (CASE_DIMS, homodyne_case, max_difference, random_complete_povm, random_density,
+                     sum_tolerance)
 
 
 def _counted(dim, n_outcomes, kept):
-    def make(rng):
+    @functools.cache
+    def make():
+        rng = np.random.default_rng(11)
         elements = random_complete_povm(rng, dim, n_outcomes)[:kept]
+        elements.flags.writeable = False
         return Dataset(elements=elements, counts=rng.uniform(0.5, 10.0, size=kept)), elements
     return make
 
 
-def _homodyne(layout, dim):
-    def make(rng):
-        record = quadrature_record(rng, phase_layouts(rng)[layout], dim)
-        return record, np.stack([quadrature_projector(t, x, dim) for t, x in zip(record.thetas, record.xs)])
-    return make
+@functools.cache
+def _counterexample():
+    reference = np.einsum("ki,kj->kij", np.eye(2), np.eye(2))
+    reference.flags.writeable = False
+    return counterexample_dataset(), reference
 
 
-# Each factory draws a record and its reference stack from a generator; a new record class adds one here.
-FACTORIES = {"complete": _counted(3, 6, 6), "incomplete": _counted(4, 8, 7),
-             "counterexample": lambda rng: (counterexample_dataset(), np.einsum("ki,kj->kij", np.eye(2), np.eye(2))),
-             **{f"{layout}-{dim}": _homodyne(layout, dim)
-                for layout in ("few", "distinct", "mix", "single", "unequal") for dim in (1, 5, 15, 30)}}
+# Each factory gives a record and its read-only reference stack, built once per session; a new record class adds one.
+FACTORIES = {"complete": _counted(3, 6, 6), "incomplete": _counted(4, 8, 7), "counterexample": _counterexample,
+             **{f"{layout}-{dim}": functools.partial(homodyne_case, layout, dim)
+                for layout in ("few", "distinct", "mix", "single", "unequal") for dim in CASE_DIMS}}
 contract = pytest.mark.parametrize("make", FACTORIES.values(), ids=FACTORIES)
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _release_homodyne_cases():
+    """No later module reads the homodyne cases, whose stacks take 93 MB for the unequal layout at dim 30."""
+    yield
+    homodyne_case.cache_clear()
 
 
 def _loop_traces(stack, matrix):
@@ -59,7 +69,7 @@ def _inputs(record):
 
 @contract
 def test_sizes_and_kernels_match_the_dense_reference(make):
-    record, reference = make(np.random.default_rng(11))
+    record, reference = make()
     assert (record.n_outcomes, record.dim, record.dim) == reference.shape and record.total == record.counts.sum()
     assert record.nbytes >= sum(a.nbytes for a in _inputs(record).values())
     if isinstance(record, QuadratureDataset):  # the slabs hold 2 dim - 1 floats per grouped sample at least
@@ -79,7 +89,7 @@ def test_sizes_and_kernels_match_the_dense_reference(make):
         assert np.max(np.abs(fused[2] - r)) <= tol and np.max(np.abs(r_operator(matrix, record) - r)) <= tol
     assert np.max(np.abs(record.weighted_sum(weights) - _loop_sum(reference, weights))) <= tol
     assert np.max(np.abs(record.element_sum() - _loop_sum(reference, np.ones(record.n_outcomes)))) <= tol
-    assert np.max(np.abs(record.elements - reference)) <= 1e-12
+    assert max_difference(record.elements, reference) <= 1e-12
     if np.linalg.matrix_rank(reference.sum(axis=0)) < record.dim:  # one rank-1 element at dim > 1
         with pytest.raises(ValidationError, match="singular"):
             GOperator.from_dataset(record)
@@ -91,7 +101,7 @@ def test_sizes_and_kernels_match_the_dense_reference(make):
 
 @contract
 def test_weighted_sum_refuses_weights_of_another_shape(make):
-    record, _ = make(np.random.default_rng(11))
+    record, _ = make()
     n = record.n_outcomes
     for weights in (np.ones(n + 1), np.ones((n, 1)), np.ones(()), np.ones(1) if n > 1 else np.ones(2)):
         message = f"weights shape {weights.shape} does not match {(n,)}"
@@ -104,7 +114,7 @@ def test_likelihood_terms_equal_the_separate_kernels(make):
     """The fused pass gives, bit for bit, traces, then the floor, then weighted_sum of f / (N probs), also with
     zero counts and under the projector on the first element's least eigenvector, which floors that outcome's
     trace where the element is singular. Each call returns new arrays."""
-    record, reference = make(np.random.default_rng(11))
+    record, reference = make()
     record = dataclasses.replace(record, counts=np.where(np.arange(record.n_outcomes) % 3 == 1, 0.0, record.counts))
     least = np.linalg.eigh(reference[0])[1][:, :1]
     for rho in (random_density(np.random.default_rng(14), record.dim), least @ least.conj().T):
@@ -119,7 +129,7 @@ def test_likelihood_terms_equal_the_separate_kernels(make):
 
 @contract
 def test_holds_read_only_copies_in_input_order(make):
-    record, reference = make(np.random.default_rng(11))
+    record, reference = make()
     given = {name: np.array(a) for name, a in _inputs(record).items()}
     copy = dataclasses.replace(record, **given)
     for a in given.values():
@@ -132,6 +142,6 @@ def test_holds_read_only_copies_in_input_order(make):
     rng = np.random.default_rng(12)
     perm, rho = rng.permutation(record.n_outcomes), random_density(rng, record.dim)
     shuffled = dataclasses.replace(record, **{name: a[perm] for name, a in _inputs(record).items()})
-    traces = np.trace(reference @ rho, axis1=1, axis2=2).real  # from the dense stack, in input order
+    traces = np.einsum("kij,ji->k", reference, rho).real  # tr(Pi_k rho) from the dense stack, in input order
     np.testing.assert_allclose(shuffled.traces(rho), traces[perm], rtol=0, atol=1e-13)
-    np.testing.assert_allclose(shuffled.elements, reference[perm], rtol=0, atol=1e-14)
+    assert max_difference(shuffled.elements, reference, perm) <= 1e-14

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from scipy import stats
 
 from qmaxlik import (
     SimulationSpec,
@@ -55,6 +54,8 @@ class TestSampleCounts:
             sample_counts(spec, povm)
 
     def test_chi_square_goodness_of_fit(self):
+        from scipy import stats  # here, not at collection: it holds some 60 MB for the rest of the run
+
         rng = np.random.default_rng(3)
         for seed in range(5):
             dim = int(rng.integers(2, 5))

@@ -133,7 +133,7 @@ class TestIterationCounts:
     @pytest.mark.parametrize("epsilons, tolerances", [([math.nan], [1e-3]), ([1.0], [math.nan]), ([1.0, -2.0], [1e-3]),
                                                       ([1.0], [1e-3, math.inf])])
     def test_rejects_nan_and_non_positive(self, epsilons, tolerances):
-        with pytest.raises(ValidationError, match="positive"):
+        with pytest.raises(ValidationError, match="^(eps|tolerance) must be (positive|finite)$"):
             sweep_iteration_counts(counterexample_dataset(), MLE, epsilons, tolerances)
 
     @pytest.mark.parametrize(
