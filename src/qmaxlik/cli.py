@@ -1,9 +1,9 @@
 """Command-line front end: reconstruct, sweep, simulate.
 
-Exit codes: 0 success, 2 input parse error, 3 validation error or an output
-that cannot be written, 4 non-convergence (outputs are still written, flagged in the result).
-All configuration is explicit on the command line; no environment variables
-are consulted.
+Exit codes: 0 success, 2 input parse error, 3 validation error or an output that cannot be written, 4 non-convergence
+(reconstruct still writes its result, flagged; a sweep whose reference is not certified writes nothing). ``main`` maps
+every error to its code and one stderr line ``<kind>: <reason>``, such as ``parse error: ...``. All configuration is
+explicit on the command line; no environment variables are consulted.
 """
 
 from __future__ import annotations
@@ -136,11 +136,7 @@ def cmd_sweep(args) -> int:
         reference, stop = io.parse_result(cache_file)
         stop["certified_gap"] = check_reference(reference, dataset)
     except (DataFormatError, ValidationError):  # missing, unreadable, damaged or refused: solved again, rewritten
-        try:
-            ref_result = reference_solution(dataset, max_iterations=args.max_iters)
-        except ConvergenceError as exc:
-            print(f"sweep aborted: {exc}", file=sys.stderr)
-            return EXIT_NO_CONVERGENCE
+        ref_result = reference_solution(dataset, max_iterations=args.max_iters)  # ConvergenceError: exit 4
         reference = ref_result.estimate
         stop = {**_stop(ref_result), "certified_gap": check_reference(reference, dataset)}
         cache_dir.mkdir(parents=True, exist_ok=True)  # only now: a rejected flag leaves no directory
@@ -248,6 +244,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except ConvergenceError as exc:  # a subclass of ValidationError
+        print(f"convergence error: {exc}", file=sys.stderr)
+        return EXIT_NO_CONVERGENCE
     except DataFormatError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

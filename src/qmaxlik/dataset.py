@@ -183,7 +183,7 @@ def product_table(dim: int) -> np.ndarray:
 # samples are pooled, and every result, stays as before the batched kernel.
 POOLED_BELOW = 64
 
-# Phases are taken in runs whose zero-padded slab fits in this many bytes (and pads at most a quarter of its samples),
+# Phases are taken in runs whose padded slab fits in this many bytes (and pads at most a quarter of its samples),
 # so likelihood_terms reads a run's slab again from cache: 0.84 of the time of traces + weighted_sum at dim 6 (5,000
 # samples, 12 phases), 0.92 at dim 15, 0.77-0.89 at dim 30; 1 MB runs within 5%, one 8 MB run 6% slower at dim 6.
 RUN_BYTES = 1 << 19
@@ -205,7 +205,7 @@ class QuadratureDataset(MeasurementRecord):
         sum_k w_k Pi_k = D reshape(L mu) D^dag,      mu = sum_k w_k Phi[:, k],
 
     one matrix-vector product per phase and kernel, batched over each run of
-    consecutive phases, a zero-padded (phases, 2 dim - 1, longest) slab (RUN_BYTES).
+    consecutive phases, a padded (phases, 2 dim - 1, longest) slab (RUN_BYTES) whose padding has zero counts.
     Phases with fewer than POOLED_BELOW samples go to one pooled block that works on
     the complex rows chi_k instead. Kernels write a flat layout, the slabs' slots
     then the pooled block; outcome k is always sample k, at slot _gather[k].
@@ -258,8 +258,7 @@ class QuadratureDataset(MeasurementRecord):
         gather[order] = slots
         x = np.zeros(offset)  # the grouped quadratures at their slots
         x[slots[: bounds[-1]]] = xs[order[: bounds[-1]]]
-        table = product_basis(dim, x)  # every slab's columns, in flat order, then zeros in the padding
-        table[:, np.bincount(slots[: bounds[-1]], minlength=offset) == 0] = 0.0
+        table = product_basis(dim, x)  # every slab's columns in flat order; padding is phi(0), inert (zero counts)
         slabs = [table[:, rows].reshape(2 * dim - 1, run.stop - run.start, -1).transpose(1, 0, 2)
                  for rows, run in spans]  # per run, a (phases, 2 dim - 1, longest phase) view of its columns
         flat_counts = np.bincount(gather, counts, minlength=offset + xs.size - bounds[-1])
@@ -305,7 +304,7 @@ class QuadratureDataset(MeasurementRecord):
 
     def _kernels(self, matrix, weigh):
         """Traces of ``matrix`` in the flat layout and sum_k w_k Pi_k, w = weigh(rows, traces) per slab and for
-        the pooled block, or None. Padding holds zero traces and must get zero weights."""
+        the pooled block, or None. Padding has zero counts and must get zero weights; its traces are never gathered."""
         table = product_table(self.dim)
         flat = None
         if matrix is not None:

@@ -273,15 +273,15 @@ class _GainProfile:
     every outcome trace q_j(t) and the normalizer gamma(t) (the trace, or
     tr(G .) with G-correction). F(t) = sum_j f_j log q_j(t) - N log gamma(t)
     has derivatives rational in the stored coefficients, which need no log.
-    c = 1/sqrt(tr(B rho B^dag)) makes the trace 1 at t = 0 and at t = 1. Records
-    whose G^-1 R is small in scale, such as counted records with many complete
-    settings, need it: with c = 1 the coefficients cancel at t = 1, where the
-    trace is far below its terms, and traces read off the profile lose digits.
+    c = 1/sqrt(tr(B rho B^dag)), which the caller computes (``_profile_scale``), makes the
+    trace 1 at t = 0 and at t = 1. Records whose G^-1 R is small in scale, such as counted
+    records with many complete settings, need it: with c = 1 the coefficients cancel at
+    t = 1, where the trace is far below its terms, and traces read off the profile lose digits.
     """
 
-    def __init__(self, state: _Step, dataset: MeasurementRecord, g: GOperator | None):
-        self.c = _profile_scale(state)
-        d = self.c * state.b - _identity(dataset.dim)
+    def __init__(self, state: _Step, c: float, dataset: MeasurementRecord, g: GOperator | None):
+        self.c = c
+        d = c * state.b - _identity(dataset.dim)
         dr = d @ state.rho
         t1, t2 = dr + dr.conj().T, dr @ d.conj().T
         self._counts, self._total = dataset.counts, dataset.total
@@ -357,7 +357,7 @@ def choose_epsilon_line_search(
     quadratic = _trial(state, dataset, g, math.inf)
     if (gain := quadratic[-1] - state.objective) >= 0.0 and _quadratic_slope(state, quadratic, c, dataset, g) > 0.0:
         return quadratic, gain
-    profile = _GainProfile(state, dataset, g)
+    profile = _GainProfile(state, c, dataset, g)
     lo, hi, t = 0.0, 1.0, 1.0
     for _ in range(NEWTON_STEPS):
         first, second = profile.derivatives(t)

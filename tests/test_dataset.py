@@ -199,6 +199,28 @@ class TestQuadratureDataset:
         assert any(slab.shape[0] > 1 for slab in record._slabs) and held > (2 * dim - 1) * grouped
         assert held <= 1.25 * (2 * dim - 1) * grouped
 
+    @pytest.mark.parametrize("layout", ["few", "distinct", "mix", "single", "unequal"])
+    def test_padding_is_inert(self, layout):
+        """Padding slots have zero counts, so zero weights, and their traces are never gathered: with a large value
+        written into every padding slot of every slab, each kernel returns the same bytes."""
+        rng = np.random.default_rng(5)
+        for dim in CASE_DIMS:
+            record = quadrature_record(rng, phase_layouts(rng)[layout], dim)
+            rho, weights = random_density(rng, dim), rng.uniform(0.0, 2.0, size=record.n_outcomes)
+
+            def kernels():
+                return [record.traces(rho), record.weighted_sum(weights), *record.likelihood_terms(rho),
+                        record.element_sum()]
+
+            before, padded = kernels(), 0
+            for slab, (rows, _) in zip(record._slabs, record._spans):
+                padding = record._flat_counts[rows].reshape(slab.shape[0], 1, -1) == 0  # every count is positive
+                np.copyto(slab, 1e30, where=padding)
+                padded += int(np.sum(padding))
+            assert (padded > 0) == (layout == "unequal")
+            for got, expected in zip(kernels(), before):
+                assert got.tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("run_bytes, runs", [(0, 20), (1 << 40, 1)], ids=["phase-per-run", "one-run"])
     def test_run_layout_leaves_kernels_unchanged(self, monkeypatch, run_bytes, runs):
         """20 phases of 64-80 samples and 30 pooled ones at dim 30: two or more padded runs by default, one run per

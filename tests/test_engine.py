@@ -310,7 +310,7 @@ class TestLineSearch:
                 d = Dataset(elements=d.elements[:-1], counts=d.counts[:-1])
                 g = GOperator.from_dataset(d)
             state = engine._step_at(random_density(rng, 3), d, g)
-            profile = engine._GainProfile(state, d, g)
+            profile = engine._GainProfile(state, engine._profile_scale(state), d, g)
             for t in (0.1, 0.5, 0.9):
                 h = 1e-5
                 first, second = profile.derivatives(t)
@@ -345,7 +345,7 @@ class TestLineSearch:
                 d = Dataset(elements=d.elements[:-1], counts=d.counts[:-1])
                 g = GOperator.from_dataset(d)
             state = engine._step_at(random_density(rng, d.dim), d, g)
-            profile = engine._GainProfile(state, d, g)
+            profile = engine._GainProfile(state, engine._profile_scale(state), d, g)
             quadratic = engine._trial(state, d, g, math.inf)
             slope = engine._quadratic_slope(state, quadratic, profile.c, d, g)
             assert slope == pytest.approx(profile.derivatives(1.0)[0], rel=0, abs=1e-12 * d.total)
@@ -359,7 +359,8 @@ class TestLineSearch:
     def test_slope_at_zero_is_twice_the_first_order_gain(self):
         rng = np.random.default_rng(9)
         rho, d = random_instance(rng, dim=3)
-        profile = engine._GainProfile(engine._step_at(rho, d, None), d, None)
+        state = engine._step_at(rho, d, None)
+        profile = engine._GainProfile(state, engine._profile_scale(state), d, None)
         r = r_operator(rho, d)
         slope = 2 * profile.c * d.total * ((r @ rho @ r).trace().real - 1)  # along M = 1 + t (cR - 1)
         assert profile.derivatives(0.0)[0] == pytest.approx(slope)
@@ -399,7 +400,8 @@ def test_line_search_property(seed, dim, extra_outcomes, mixing, g_correction):
     before = _objective(rho, d, g)
     actual = _objective(stepped, d, g) - before
     assert gain == pytest.approx(actual, rel=1e-9, abs=1e-12 * abs(before))
-    profile = engine._GainProfile(engine._step_at(rho, d, g), d, g)
+    state = engine._step_at(rho, d, g)
+    profile = engine._GainProfile(state, engine._profile_scale(state), d, g)
     t = 1.0 if math.isinf(eps) else eps / (profile.c + eps)  # eps = c t/(1 - t)
     slope, _ = profile.derivatives(t)
     assert (t == 1.0 and slope >= 0) or abs(slope) <= 1e-8 * d.total

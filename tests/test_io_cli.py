@@ -604,7 +604,8 @@ class TestCliSweep:
         assert rows["inf"][3] == "false"  # the quadratic update cycles forever
         assert rows["1"][3] == "true"
 
-    def test_reference_failure_aborts_sweep(self, tmp_path):
+    def test_reference_failure_aborts_sweep(self, tmp_path, capsys):
+        """An uncertified reference is exit 4 with one stderr line in main's form, and no row, manifest or cache."""
         data = tmp_path / "povm3.json"  # the regression table's povm3: its reference needs more than 2 steps
         qio.write_counts_dataset(data, random_dataset(np.random.default_rng(3), dim=3, n_outcomes=10))
         out = tmp_path / "sweep.csv"
@@ -613,7 +614,12 @@ class TestCliSweep:
              "--max-iters", "2", "--out", str(out)]
         )
         assert code == 4
-        assert not out.exists()
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert re.fullmatch(r"convergence error: reference certified only to a gap of \S+ nats, "
+                            r"above the bound 0\.5\n", err)
+        assert not out.exists() and not (tmp_path / "sweep.csv.manifest.json").exists()
+        assert not list((tmp_path / ".sweep-cache").glob("reference-*.json"))
 
     @pytest.mark.parametrize("max_iters", ["0", "-3"])
     def test_bad_max_iters_exit_three(self, tmp_path, counterexample_json, capsys, max_iters):
